@@ -27,12 +27,15 @@ def _load_input(spec):
     if spec is None:
         raise SystemExit("this subcommand needs --input")
     if spec == "-":
-        return json.load(sys.stdin)
-    text = spec.strip()
-    if text.startswith("{"):
-        return json.loads(text)
-    with open(spec, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(sys.stdin)
+    elif spec.strip().startswith(("{", "[")):
+        data = json.loads(spec)
+    else:
+        with open(spec, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"input must be a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _open_out(path):
@@ -103,7 +106,7 @@ def cmd_rh(args):
     pt = serialize.decode_phase_point(data)
     tol = args.tol if args.tol is not None else 1e-6
     rep = fuchsian.monodromy(pt)
-    point = fuchsian.rh_point(pt)
+    point = rep.surface_point(pt.kappa)
     apparency = fuchsian.apparent_check(pt)
     payload = {
         "x": serialize.encode_complex_seq(point.x),
@@ -320,11 +323,17 @@ def build_parser():
     return parser
 
 
+_PARSER = None  # built by the first main() call: a build costs about 1.5 ms
+
+
 def main(argv=None):
+    global _PARSER
     level = os.environ.get("PVI_LOG")
     if level:
         logging.basicConfig(level=level.upper())
-    args = build_parser().parse_args(argv)
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (

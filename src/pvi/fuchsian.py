@@ -22,6 +22,12 @@ from . import cubic, params
 from .rk import adaptive_rk
 
 
+# Cap on the attempted steps of one transport leg.  The longest legs of the
+# test suite and of the benchmark's rh inputs take 659 and 544 steps, so a
+# leg that reaches the cap has stalled; it fails after about a second.
+_LEG_MAX_STEPS = 15_000
+
+
 class PoleClearanceError(ValueError):
     """A transport path passes closer to a pole than the clearance."""
 
@@ -91,12 +97,6 @@ class FuchsianEquation:
     v1_residues: np.ndarray
     v2_residues: np.ndarray
 
-    def v1(self, z):
-        return np.sum(self.v1_residues / (z - self.poles))
-
-    def v2(self, z):
-        return np.sum(self.v2_residues / (z - self.poles))
-
     def indicial_roots(self, pole_index):
         """Local exponents {0, 1 + res(v1)} at the given finite pole."""
         return 0.0 + 0.0j, 1.0 + self.v1_residues[pole_index]
@@ -148,7 +148,8 @@ def transport(eq, path, rtol=1e-12, atol=1e-14, clearance=None):
     Returns T with (f, f')(end) = T (f, f')(start).  The default clearance
     is 0.05 times the minimal pole gap; each integration step is clamped to
     0.25 times the distance to the nearest pole, which keeps the adaptive
-    controller honest right where the coefficients blow up.
+    controller honest right where the coefficients blow up.  A leg that
+    needs more than _LEG_MAX_STEPS steps raises StepUnderflowError.
     """
     path = np.asarray(path, dtype=complex)
     if path.ndim != 1 or len(path) < 1:
@@ -163,30 +164,34 @@ def transport(eq, path, rtol=1e-12, atol=1e-14, clearance=None):
                     f"pole clearance violated near {c:.6g}"
                 )
 
+    poles = eq.poles.tolist()
+    residues = list(zip(poles, eq.v1_residues.tolist(), eq.v2_residues.tolist()))
     T = np.eye(2, dtype=complex)
-    for z0, z1 in zip(path[:-1], path[1:]):
+    for z0, z1 in zip(path[:-1].tolist(), path[1:].tolist()):
         seg = z1 - z0
         if seg == 0.0:
             continue
 
         def rhs(s, y, z0=z0, seg=seg):
-            z = z0 + s * seg
-            a = eq.v1(z)
-            b = eq.v2(z)
             # companion system on the flattened fundamental matrix
-            y = y.reshape(2, 2)
-            dy = np.empty_like(y)
-            dy[0] = y[1]
-            dy[1] = a * y[1] - b * y[0]
-            return seg * dy.reshape(4)
-
-        def clamp(s, y, z0=z0, seg=seg):
+            # y = (f_1, f_2, f_1', f_2'), with v1 = a and v2 = b at z
             z = z0 + s * seg
-            d = min(abs(z - c) for c in eq.poles)
-            return max(1e-12, 0.25 * d / abs(seg))
+            a = b = 0.0
+            for c, r1, r2 in residues:
+                w = 1.0 / (z - c)
+                a += r1 * w
+                b += r2 * w
+            f1, f2, g1, g2 = y.tolist()
+            return np.array(
+                [seg * g1, seg * g2, seg * (a * g1 - b * f1), seg * (a * g2 - b * f2)]
+            )
+
+        def clamp(s, y, z0=z0, seg=seg, scale=0.25 / abs(seg)):
+            z = z0 + s * seg
+            return max(1e-12, scale * min(abs(z - c) for c in poles))
 
         y = adaptive_rk(rhs, T.reshape(4), 0.0, 1.0, rtol=rtol, atol=atol,
-                        max_step=clamp)
+                        max_step=clamp, max_steps=_LEG_MAX_STEPS)
         T = y.reshape(2, 2)
     return T
 
@@ -259,6 +264,28 @@ class MonodromyRep:
             [np.trace(m2 @ m3), np.trace(m3 @ m1), np.trace(m1 @ m2)]
         )
 
+    def surface_point(self, kappa):
+        """x = surface_coordinates() on the cubic of theta = rh_param(kappa).
+
+        The returned SurfacePoint carries |f(x, theta)| as residual.
+        """
+        return cubic.SurfacePoint.make(
+            self.surface_coordinates(), params.rh_param(kappa)
+        )
+
+
+def _loop_transport(eq, pole_index, basepoint, rtol, atol):
+    """Transfer matrix along loop_around(eq, pole_index, basepoint=basepoint).
+
+    The loop runs out along its tail, around the circle and back along the
+    same tail reversed, whose transfer matrix is exactly the inverse of the
+    way out; so the tail is integrated once and T = T_tail^-1 C T_tail.
+    """
+    path = loop_around(eq, pole_index, basepoint=basepoint)
+    tail = transport(eq, path[:2], rtol=rtol, atol=atol)
+    circle = transport(eq, path[1:-1], rtol=rtol, atol=atol)
+    return np.linalg.solve(tail, circle @ tail)
+
 
 def monodromy(pt, basepoint=None, rtol=1e-12, atol=1e-14):
     """Normalized monodromy of the Fuchsian equation of a phase point.
@@ -274,10 +301,7 @@ def monodromy(pt, basepoint=None, rtol=1e-12, atol=1e-14):
     if basepoint is None:
         basepoint = _auto_basepoint(eq.poles, clearance)
     k = pt.kappa
-    raw = []
-    for i in range(3):
-        path = loop_around(eq, i, basepoint=basepoint)
-        raw.append(transport(eq, path, rtol=rtol, atol=atol))
+    raw = [_loop_transport(eq, i, basepoint, rtol, atol) for i in range(3)]
     raw4 = np.linalg.inv(raw[2] @ raw[1] @ raw[0])
     kk = (k.k1, k.k2, k.k3)
     normalized = [np.exp(-1j * np.pi * kk[i]) * raw[i] for i in range(3)]
@@ -292,9 +316,7 @@ def apparent_check(pt, basepoint=None, rtol=1e-12, atol=1e-14):
     exactly the property the Hamiltonian values encode; corrupting any H_i
     destroys it.
     """
-    eq = build_equation(pt)
-    path = loop_around(eq, 3, basepoint=basepoint)
-    Tq = transport(eq, path, rtol=rtol, atol=atol)
+    Tq = _loop_transport(build_equation(pt), 3, basepoint, rtol, atol)
     return float(np.linalg.norm(Tq - np.eye(2)))
 
 
@@ -305,6 +327,4 @@ def rh_point(pt, basepoint=None, rtol=1e-12, atol=1e-14):
     returned SurfacePoint carries |f(x, theta)| as residual.
     """
     rep = monodromy(pt, basepoint=basepoint, rtol=rtol, atol=atol)
-    x = rep.surface_coordinates()
-    theta = params.rh_param(pt.kappa)
-    return cubic.SurfacePoint.make(x, theta)
+    return rep.surface_point(pt.kappa)

@@ -17,8 +17,9 @@ class StepUnderflowError(RuntimeError):
     """Adaptive stepping stalled: the step shrank below the useful limit."""
 
 
-# Dormand-Prince coefficients (the classic RK45 pair with FSAL).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince coefficients (the classic RK45 pair with FSAL).  The nodes
+# are Python floats so that the stage abscissae stay Python floats.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -36,8 +37,9 @@ _ERR = _B5 - _B4
 
 
 def _error_norm(err, y_old, y_new, rtol, atol):
-    scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+    """Root-mean-square of err weighted by atol + rtol * max(|y_old|, |y_new|)."""
+    r = np.abs(err / (atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))))
+    return (float(r @ r) / r.size) ** 0.5
 
 
 def adaptive_rk(
@@ -90,11 +92,9 @@ def adaptive_rk(
             )
         hd = direction * h
         for i in range(1, 7):
-            yi = y + hd * np.tensordot(_A[i], k[:i], axes=(0, 0))
-            k[i] = f(s + _C[i] * hd, yi)
-        y_new = y + hd * np.tensordot(_B5, k, axes=(0, 0))
-        err_vec = hd * np.tensordot(_ERR, k, axes=(0, 0))
-        err = _error_norm(err_vec, y, y_new, rtol, atol)
+            k[i] = f(s + _C[i] * hd, y + hd * (_A[i] @ k[:i]))
+        y_new = y + hd * (_B5 @ k)
+        err = _error_norm(hd * (_ERR @ k), y, y_new, rtol, atol)
         if err <= 1.0:
             s = s + hd
             y = y_new

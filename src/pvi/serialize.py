@@ -20,12 +20,16 @@ def encode_complex(z):
 
 
 def decode_complex(value):
-    """Accept a real number or an [re, im] pair."""
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ValueError(f"expected a number or [re, im] pair, got {value!r}")
+    """Accept a finite real number or an [re, im] pair of them."""
+    parts = value if isinstance(value, (list, tuple)) else [value, 0.0]
+    try:
+        if len(parts) == 2 and all(isinstance(v, (int, float)) for v in parts):
+            z = complex(float(parts[0]), float(parts[1]))
+            if np.isfinite(z):
+                return z
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ValueError(f"expected a finite number or [re, im] pair, got {value!r}")
 
 
 def encode_complex_seq(values):
@@ -33,6 +37,8 @@ def encode_complex_seq(values):
 
 
 def decode_complex_seq(values, n=None):
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"expected a list of numbers, got {values!r}")
     out = np.array([decode_complex(v) for v in values], dtype=complex)
     if n is not None and out.shape != (n,):
         raise ValueError(f"expected {n} entries, got {len(out)}")
@@ -64,17 +70,11 @@ def encode_phase_point(pt):
 
 
 def decode_phase_point(obj):
-    if "kappa_free" in obj:
-        kappa = params.Exponents.from_free(
-            *decode_complex_seq(obj["kappa_free"], 4)
-        )
-    else:
-        kappa = params.Exponents(*decode_complex_seq(obj["kappa"], 5))
     return fuchsian.PhasePoint.make(
         decode_complex(obj["q"]),
         decode_complex(obj["p"]),
         decode_complex_seq(obj["t"], 3),
-        kappa,
+        decode_exponents(obj),
     )
 
 

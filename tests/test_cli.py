@@ -5,13 +5,16 @@ import json
 
 import pytest
 
-from pvi import cli
+from pvi import cli, fuchsian
 
 
 RH_INPUT = (
     '{"q": [0.4,0.3], "p": [0.2,-0.5], "t": [0,1,2], '
     '"kappa_free": [0.21,0.33,0.17,0.11]}'
 )
+# RHS evaluations of `pvi rh` on RH_INPUT, as measured when the count-based
+# bound below was set: four loops of 25 legs (tail once, 24 chords).
+RH_RHS_EVALS = 17290
 MONODROMY_INPUT = (
     '{"point": {"q": [0.4,0.3], "p": [0.2,-0.5], "t": [0,1,2], '
     '"kappa_free": [0.21,0.33,0.17,0.11]}, "braid": "1 1"}'
@@ -162,3 +165,58 @@ def test_missing_input_file_exits_nonzero(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert cli.main(["classify", "--input", str(missing)]) == 1
     assert capsys.readouterr().err.strip()
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_rh_computes_the_monodromy_once(tmp_path, monkeypatch):
+    counts = {}
+    for name in ("monodromy", "apparent_check"):
+        _count_calls(monkeypatch, fuchsian, name, counts)
+    assert cli.main(["rh", "--input", RH_INPUT, "--out", str(tmp_path / "rh.json")]) == 0
+    assert counts == {"monodromy": 1, "apparent_check": 1}
+
+
+def test_rh_right_hand_side_evaluations_stay_bounded(tmp_path, monkeypatch):
+    """A count-based cost gate: it does not depend on the speed of the host."""
+    evals = [0]
+    original = fuchsian.adaptive_rk
+
+    def counting_rk(f, *args, **kwargs):
+        def counted_f(s, y):
+            evals[0] += 1
+            return f(s, y)
+
+        return original(counted_f, *args, **kwargs)
+
+    monkeypatch.setattr(fuchsian, "adaptive_rk", counting_rk)
+    assert cli.main(["rh", "--input", RH_INPUT, "--out", str(tmp_path / "rh.json")]) == 0
+    assert 0 < evals[0] <= 1.25 * RH_RHS_EVALS
+
+
+@pytest.mark.parametrize(
+    "command, spec",
+    [
+        ("classify", "[1,2]"),
+        ("rh", RH_INPUT.replace('"t": [0,1,2]', '"t": 5')),
+        ("rh", RH_INPUT.replace("0.21,", "NaN,")),
+        ("rh", RH_INPUT.replace('"q": [0.4,0.3]', '"q": [0.4,Infinity]')),
+        ("rh", RH_INPUT.replace('"p": [0.2,-0.5]', '"p": [NaN,-0.5]')),
+        ("rh", RH_INPUT.replace('"t": [0,1,2]', '"t": [0,1,-Infinity]')),
+        ("classify", '{"kappa": [0,0,0,NaN,1]}'),
+    ],
+    ids=["inline-array", "scalar-t", "nan-kappa-free", "inf-q", "nan-p", "inf-t", "nan-kappa"],
+)
+def test_malformed_input_is_one_error_line(command, spec, capsys):
+    assert cli.main([command, "--input", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1

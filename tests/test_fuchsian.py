@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import hyp2f1
 
-from pvi import fuchsian, params
+from pvi import fuchsian, params, rk
 
 
 GAUSS_A, GAUSS_B, GAUSS_C = 0.3, -0.21, 0.77
@@ -84,6 +84,13 @@ def test_transport_refuses_path_through_pole():
     eq = _gauss_equation()
     with pytest.raises(fuchsian.PoleClearanceError):
         fuchsian.transport(eq, np.array([0.5 + 0j, -0.5 + 0j]))
+
+
+def test_stalled_leg_stops_at_the_step_cap():
+    """Solutions oscillating ~1e4 times per unit length exhaust one leg's step cap."""
+    eq = fuchsian.FuchsianEquation(np.array([0j]), np.array([0j]), np.array([1e8 + 0j]))
+    with pytest.raises(rk.StepUnderflowError, match="exceeded"):
+        fuchsian.transport(eq, np.array([1.0 + 0j, 2.0 + 0j]))
 
 
 class TestPhasePoint:
@@ -208,3 +215,19 @@ def test_corrupted_residue_breaks_apparency():
     loop = fuchsian.loop_around(bad, 3)
     T = fuchsian.transport(bad, loop)
     assert np.linalg.norm(T - np.eye(2)) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "eq, basepoint, pole_indices",
+    [
+        (fuchsian.build_equation(_generic_phase_point()), None, range(4)),
+        (_gauss_equation(), 0.5 + 0j, range(2)),
+    ],
+    ids=["generic", "gauss"],
+)
+def test_loop_transport_inverts_the_tail(eq, basepoint, pole_indices):
+    """Tail integrated once and inverted equals the whole polyline loop."""
+    for i in pole_indices:
+        full = fuchsian.transport(eq, fuchsian.loop_around(eq, i, basepoint=basepoint))
+        once = fuchsian._loop_transport(eq, i, basepoint, 1e-12, 1e-14)
+        assert np.max(np.abs(once - full)) < 1e-10

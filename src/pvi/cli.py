@@ -25,7 +25,7 @@ log = logging.getLogger(__name__)
 
 def _load_input(spec):
     if spec is None:
-        raise SystemExit("this subcommand needs --input")
+        raise ValueError("this subcommand needs --input")
     if spec == "-":
         data = json.load(sys.stdin)
     elif spec.strip().startswith(("{", "[")):
@@ -54,49 +54,29 @@ def _emit(args, payload):
             fh.close()
 
 
-def _label_from_points(points):
-    if not points:
-        return "smooth"
-    if len(points) == 1:
-        return points[0].local_type
-    types = sorted(p.local_type for p in points)
-    if all(t == "A1" for t in types):
-        return f"{len(types)}A1"
-    return "+".join(types)
-
-
 def cmd_classify(args):
+    """The stratum of kappa or theta; on_wall is true iff S(theta) is singular."""
     data = _load_input(args.input)
     tol = args.tol if args.tol is not None else 1e-8
     if "kappa" in data or "kappa_free" in data:
         kappa = serialize.decode_exponents(data)
-        a = params.kappa_to_a(kappa)
-        lift = cubic.discriminant_lift(a)
-        wall = params.on_wall(kappa, tol=tol)
+        lift = serialize.encode_complex(
+            cubic.discriminant_lift(params.kappa_to_a(kappa))
+        )
         label = params.classify_stratum(kappa, tol=tol)
-        payload = {
-            "on_wall": wall,
-            "discriminant_lift": serialize.encode_complex(lift),
-            "stratum": label.dynkin_type,
-            "index_set_size": label.index_set_size,
-            "singular_points": serialize.encode_singular_report(label.report)[
-                "points"
-            ],
-        }
     elif "theta" in data:
         theta = serialize.decode_complex_seq(data["theta"], 4)
-        report = cubic.singular_points(theta, tol=tol)
-        payload = {
-            "on_wall": bool(report.points),
-            "discriminant_lift": None,
-            "stratum": _label_from_points(report.points),
-            "index_set_size": sum(p.milnor for p in report.points),
-            "singular_points": serialize.encode_singular_report(report)[
-                "points"
-            ],
-        }
+        lift = None
+        label = params.label_stratum(cubic.singular_points(theta, tol=tol))
     else:
-        raise SystemExit("classify input needs 'kappa', 'kappa_free' or 'theta'")
+        raise ValueError("classify input needs 'kappa', 'kappa_free' or 'theta'")
+    payload = {
+        "on_wall": bool(label.report.points),
+        "discriminant_lift": lift,
+        "stratum": label.dynkin_type,
+        "index_set_size": label.index_set_size,
+        "singular_points": serialize.encode_singular_report(label.report)["points"],
+    }
     _emit(args, payload)
     return 0
 
@@ -130,7 +110,9 @@ def cmd_orbit(args):
     data = _load_input(args.input)
     point = serialize.decode_ambient_point(data["point"])
     word = modular.parse_word(data.get("word", ""))
-    n = int(data.get("n", 0))
+    n = data.get("n", 0)
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
     if args.max_steps is not None:
         n = min(n, args.max_steps)
     tol = args.tol if args.tol is not None else 1e-8
@@ -152,6 +134,8 @@ def cmd_orbit(args):
 def cmd_flow(args):
     data = _load_input(args.input)
     pt = serialize.decode_phase_point(data["point"])
+    if not isinstance(data["path"], list):
+        raise ValueError(f"path must be a list of pole triples, got {data['path']!r}")
     path = flow.TimePath.make(
         [serialize.decode_complex_seq(v, 3) for v in data["path"]]
     )
@@ -284,9 +268,8 @@ def _selftest_checks(seed):
 
 
 def cmd_selftest(args):
-    seed = args.seed if args.seed is not None else 0
     failures = 0
-    for name, value, tol in _selftest_checks(seed):
+    for name, value, tol in _selftest_checks(args.seed):
         passed = value <= tol
         status = "pass" if passed else "FAIL"
         print(f"{status}  {name}: {value:.3e} (tol {tol:.0e})")
@@ -300,25 +283,31 @@ def build_parser():
         description="Painleve VI dynamics: cubic surfaces, monodromy, flows.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "classify": (cmd_classify, "wall status and surface singularities"),
-        "rh": (cmd_rh, "monodromy coordinates of a phase point"),
-        "orbit": (cmd_orbit, "iterate a modular-group word, CSV output"),
-        "flow": (cmd_flow, "integrate the Hamiltonian flow, CSV output"),
-        "monodromy": (cmd_monodromy, "compare a braid loop with its modular action"),
-        "backlund": (cmd_backlund, "apply a transformation word"),
-        "selftest": (cmd_selftest, "run a quick deterministic battery"),
+    options = {
+        "--input": {"help": "JSON file, inline JSON, or - for stdin"},
+        "--out": {"help": "output path (default stdout)"},
+        "--tol": {"type": float, "help": "check tolerance"},
+        "--seed": {"type": int, "default": 0, "help": "seed of the randomized batteries"},
+        "--max-steps": {"type": int, "help": "cap on the iteration count n"},
+        "--orientation": {"choices": ("fwd", "inv"), "default": "fwd",
+                          "help": "braid-to-modular convention"},
     }
-    for name, (func, help_text) in specs.items():
+    io = ("--input", "--out", "--tol")
+    specs = {
+        "classify": (cmd_classify, "wall status and surface singularities", io),
+        "rh": (cmd_rh, "monodromy coordinates of a phase point", io),
+        "orbit": (cmd_orbit, "iterate a modular-group word, CSV output",
+                  io + ("--max-steps",)),
+        "flow": (cmd_flow, "integrate the Hamiltonian flow, CSV output", io),
+        "monodromy": (cmd_monodromy, "compare a braid loop with its modular action",
+                      io + ("--orientation",)),
+        "backlund": (cmd_backlund, "apply a transformation word", io),
+        "selftest": (cmd_selftest, "run a quick deterministic battery", ("--seed",)),
+    }
+    for name, (func, help_text, flags) in specs.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", help="JSON file, inline JSON, or - for stdin")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--tol", type=float, help="check tolerance")
-        p.add_argument("--seed", type=int, help="seed for randomized batteries")
-        p.add_argument("--max-steps", type=int, dest="max_steps",
-                       help="cap on iteration counts")
-        p.add_argument("--orientation", choices=("fwd", "inv"), default="fwd",
-                       help="braid-to-modular convention")
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
         p.set_defaults(func=func)
     return parser
 
@@ -340,12 +329,10 @@ def main(argv=None):
         ValueError,
         KeyError,
         OSError,
-        json.JSONDecodeError,
         cubic.NoConvergenceError,
         params.UnclassifiableError,
         modular.EscapeError,
         flow.BlowUpError,
-        fuchsian.PoleClearanceError,
         rk.StepUnderflowError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -353,10 +353,8 @@ def _local_type(x, rank_rtol=1e-8, cubic_tol=1e-6):
     raise NoConvergenceError("Hessian rank 0 is impossible for this family")
 
 
-def critical_points(theta, tol=1e-8):
+def critical_points(theta):
     """All solutions of grad_f = 0 (on or off the surface), deduplicated."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     theta = _theta_array(theta)
     scale = max(1.0, float(np.max(np.abs(theta))))
     accepted = []
@@ -406,6 +404,8 @@ def singular_points(theta, tol=1e-8):
     tolerance) are singular points of the surface and get a local type.
     """
     theta = _theta_array(theta)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     scale = max(1.0, float(np.max(np.abs(theta))))
 
     def collect(xs):
@@ -417,7 +417,7 @@ def singular_points(theta, tol=1e-8):
             out.append(SingularPoint(x, local_type, milnor, corank))
         return out
 
-    on_surface = critical_points(theta, tol=tol)
+    on_surface = critical_points(theta)
     points = collect(on_surface)
     if len(points) > 4 or sum(p.milnor for p in points) > 4:
         # stalled endpoints of one degenerate root can sit ~eps^(1/3) apart;

@@ -10,6 +10,7 @@ invariant locus together with its second-order linearization.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -21,6 +22,14 @@ log = logging.getLogger(__name__)
 
 #: Letter -> pair of t-indices braided by that letter (third one is fixed).
 _BRAID_PAIRS = {1: (0, 1), 2: (1, 2), 3: (2, 0)}
+
+#: Chords of the polyline half-turn of one braid letter.
+_BRAID_CHORDS = 16
+
+#: The flow raises BlowUpError when q comes closer to a pole than this
+#: fraction of the path scale, or when |q| or |p| exceeds the bound.
+_BLOWUP_CLEARANCE = 1e-8
+_BLOWUP_BOUND = 1e8
 
 
 class BlowUpError(RuntimeError):
@@ -41,17 +50,6 @@ class BlowUpError(RuntimeError):
 
 class NotOnRiccatiLocusError(ValueError):
     """Raised when riccati_flow is called off the locus kappa0 = 0, p = 0."""
-
-
-def _segment_min_abs(w0, w1):
-    """min over s in [0,1] of |w0 + s (w1 - w0)|."""
-    d = w1 - w0
-    dd = abs(d) ** 2
-    if dd == 0.0:
-        return abs(w0)
-    s = -((w0.real * d.real) + (w0.imag * d.imag)) / dd
-    s = min(1.0, max(0.0, s))
-    return abs(w0 + s * d)
 
 
 @dataclass(frozen=True)
@@ -89,15 +87,11 @@ class TimePath:
         On each straight segment the difference t_i - t_j is linear in the
         parameter, so the minimum is a point-to-segment distance.
         """
-        gap = float("inf")
-        v0 = self.vertices[0]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                gap = min(gap, abs(v0[i] - v0[j]))
+        gap = fuchsian._min_gap(self.vertices[0])
         for a, b in self.segments():
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    gap = min(gap, _segment_min_abs(a[i] - a[j], b[i] - b[j]))
+            for i, j in itertools.combinations(range(3), 2):
+                gap = min(gap, fuchsian._segment_pole_distance(
+                    a[i] - a[j], b[i] - b[j], 0))
         return gap
 
     def length(self):
@@ -189,21 +183,38 @@ def _coerce_path(path):
     return TimePath.make(path)
 
 
-def integrate(pt, path, rtol=1e-12, atol=1e-14, clearance=None, bound=1e8):
+def _moving_segments(path):
+    """(a, v, cap) for each segment t = a + s v, 0 <= s <= 1, that moves.
+
+    cap(s, state) is the step cap of adaptive_rk in s: 0.05 times the
+    minimal pole gap at t(s), over the largest component of v.
+    """
+    for a, b in path.segments():
+        v = b - a
+        vmax = max(abs(z) for z in v)
+        if vmax == 0.0:
+            continue
+
+        def cap(s, state, a=a, v=v, vmax=vmax):
+            return max(1e-12, 0.05 * fuchsian._min_gap(a + s * v) / vmax)
+
+        yield a, v, cap
+
+
+def integrate(pt, path, rtol=1e-12, atol=1e-14):
     """Integrate the Hamiltonian system along a polyline time path.
 
     The step size is capped at 0.05 times the current minimal pole gap.
-    Raises BlowUpError when q approaches a pole position closer than the
-    clearance (default 1e-8 times the path scale) or when |q| or |p|
-    exceeds the bound; this is the movable-pole diagnostic.
+    Raises BlowUpError when q comes closer to a pole position than
+    _BLOWUP_CLEARANCE times the path scale or when |q| or |p| exceeds
+    _BLOWUP_BOUND; this is the movable-pole diagnostic.
     """
     path = _coerce_path(path)
     t0 = path.vertices[0]
     scale = max(1.0, max(abs(z) for v in path.vertices for z in v))
     if max(abs(pt.t[i] - t0[i]) for i in range(3)) > 1e-9 * scale:
         raise ValueError("path must start at the phase point's pole triple")
-    if clearance is None:
-        clearance = 1e-8 * scale
+    clearance = _BLOWUP_CLEARANCE * scale
     k = pt.kappa
     kk = (k.k1, k.k2, k.k3)
     b = k.k0 * (k.k0 + k.k4)
@@ -211,24 +222,13 @@ def integrate(pt, path, rtol=1e-12, atol=1e-14, clearance=None, bound=1e8):
     samples = [FlowSample(0.0, pt.t.copy(), pt.q, pt.p, 0.0)]
     y = np.array([pt.q, pt.p], dtype=complex)
     arc_base = 0.0
-    for a, bvert in path.segments():
-        v = bvert - a
-        vmax = max(abs(z) for z in v)
-        if vmax == 0.0:
-            continue
+    for a, v, cap in _moving_segments(path):
         vnorm = float(np.linalg.norm(v))
 
         def rhs(s, state, a=a, v=v):
             t_s = a + s * v
             dq, dp = _field(state[0], state[1], t_s, kk, b, v)
             return np.array([dq, dp])
-
-        def cap(s, state, a=a, v=v, vmax=vmax):
-            t_s = a + s * v
-            gap = min(
-                abs(t_s[i] - t_s[j]) for i in range(3) for j in range(i + 1, 3)
-            )
-            return max(1e-12, 0.05 * gap / vmax)
 
         def record(s, state, h, err, a=a, v=v, vnorm=vnorm):
             t_s = a + s * v
@@ -241,9 +241,9 @@ def integrate(pt, path, rtol=1e-12, atol=1e-14, clearance=None, bound=1e8):
                     f"at arclength {arc:.6f}",
                     arc, t_s, q_s, p_s,
                 )
-            if abs(q_s) > bound or abs(p_s) > bound:
+            if abs(q_s) > _BLOWUP_BOUND or abs(p_s) > _BLOWUP_BOUND:
                 raise BlowUpError(
-                    f"blow-up: coordinate bound {bound:.1e} exceeded "
+                    f"blow-up: coordinate bound {_BLOWUP_BOUND:.1e} exceeded "
                     f"at arclength {arc:.6f}",
                     arc, t_s, q_s, p_s,
                 )
@@ -257,7 +257,7 @@ def integrate(pt, path, rtol=1e-12, atol=1e-14, clearance=None, bound=1e8):
     return Trajectory(kappa=pt.kappa, samples=tuple(samples))
 
 
-def braid_loop_path(t, braid, chords=16):
+def braid_loop_path(t, braid):
     """Polyline realizing a braid word as successive half-turns.
 
     Each letter rotates the corresponding pole pair half a revolution
@@ -282,8 +282,8 @@ def braid_loop_path(t, braid, chords=16):
                 "choose a different geometry"
             )
         sign = 1.0 if letter > 0 else -1.0
-        for c in range(1, chords + 1):
-            phase = np.exp(1j * sign * np.pi * c / chords)
+        for c in range(1, _BRAID_CHORDS + 1):
+            phase = np.exp(1j * sign * np.pi * c / _BRAID_CHORDS)
             vertex = current.copy()
             vertex[ia] = mid + rad * phase
             vertex[ib] = mid - rad * phase
@@ -295,8 +295,7 @@ def braid_loop_path(t, braid, chords=16):
     return TimePath.make(vertices)
 
 
-def nonlinear_monodromy(pt, braid, chords=16, rtol=1e-12, atol=1e-14,
-                        clearance=None, bound=1e8, return_trajectory=False):
+def nonlinear_monodromy(pt, braid, rtol=1e-12, atol=1e-14):
     """Poincare return map of the flow along a closed pure-braid loop.
 
     The braid must be pure (identity underlying permutation), so the
@@ -306,12 +305,8 @@ def nonlinear_monodromy(pt, braid, chords=16, rtol=1e-12, atol=1e-14,
     letters = modular.parse_word(braid)
     if modular.perm_image(letters) != (0, 1, 2):
         raise ValueError("braid is not pure: the pole triple would not return")
-    path = braid_loop_path(pt.t, letters, chords=chords)
-    traj = integrate(pt, path, rtol=rtol, atol=atol, clearance=clearance,
-                     bound=bound)
-    if return_trajectory:
-        return traj
-    return traj.end()
+    path = braid_loop_path(pt.t, letters)
+    return integrate(pt, path, rtol=rtol, atol=atol).end()
 
 
 def _chart_derivatives(q, p, x, kappa):
@@ -464,8 +459,7 @@ def _riccati_abc(t, v, kappa):
     return a, b, c, aprime
 
 
-def riccati_flow(pt, path, rtol=1e-12, atol=1e-14, clearance=None,
-                 bound=1e8):
+def riccati_flow(pt, path, rtol=1e-12, atol=1e-14):
     """Integrate on the Riccati locus and verify its linearization.
 
     Returns (trajectory, report).  The trajectory comes from the full
@@ -480,8 +474,7 @@ def riccati_flow(pt, path, rtol=1e-12, atol=1e-14, clearance=None,
     if abs(pt.p) > 1e-12:
         raise NotOnRiccatiLocusError("p must vanish on the Riccati locus")
     path = _coerce_path(path)
-    traj = integrate(pt, path, rtol=rtol, atol=atol, clearance=clearance,
-                     bound=bound)
+    traj = integrate(pt, path, rtol=rtol, atol=atol)
     max_p = max(abs(s.p) for s in traj.samples)
 
     coeffs = riccati_coefficients(pt.t, pt.kappa)
@@ -502,10 +495,7 @@ def riccati_flow(pt, path, rtol=1e-12, atol=1e-14, clearance=None,
 
     dev = 0.0
     q = pt.q
-    for a_v, b_v in path.segments():
-        v = b_v - a_v
-        if max(abs(z) for z in v) == 0.0:
-            continue
+    for a_v, v, cap in _moving_segments(path):
         a0, _, _, _ = _riccati_abc(a_v, v, pt.kappa)
         if abs(a0) < 1e-12:
             raise NotOnRiccatiLocusError(
@@ -522,13 +512,6 @@ def riccati_flow(pt, path, rtol=1e-12, atol=1e-14, clearance=None,
                 yp,
                 ((ap + aa * bb) * yp - aa * aa * cc * yy) / aa,
             ])
-
-        def cap(s, state, a_v=a_v, v=v):
-            t_s = a_v + s * v
-            gap = min(
-                abs(t_s[i] - t_s[j]) for i in range(3) for j in range(i + 1, 3)
-            )
-            return max(1e-12, 0.05 * gap / max(abs(z) for z in v))
 
         track = {"dev": 0.0}
 

@@ -14,6 +14,7 @@ data a and the surface coordinates x, landing on the Fricke cubic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +28,26 @@ from .rk import adaptive_rk
 # leg that reaches the cap has stalled; it fails after about a second.
 _LEG_MAX_STEPS = 15_000
 
+# Chords of the polyline circle of a loop around one pole.
+_LOOP_CHORDS = 24
+
 
 class PoleClearanceError(ValueError):
     """A transport path passes closer to a pole than the clearance."""
+
+
+def _min_gap(points):
+    """Smallest pairwise distance between the points; inf for fewer than two."""
+    return min(
+        (abs(a - b) for a, b in itertools.combinations(np.asarray(points).tolist(), 2)),
+        default=float("inf"),
+    )
+
+
+def _clearance(poles):
+    """Distance a transport path keeps from every pole: 0.05 of the minimal gap."""
+    gap = _min_gap(poles)
+    return 0.05 * gap if np.isfinite(gap) else 0.0
 
 
 @dataclass(frozen=True)
@@ -50,8 +68,7 @@ class PhasePoint:
             raise ValueError("t must have three components")
         if not isinstance(kappa, params.Exponents):
             kappa = params.Exponents(*np.asarray(kappa, dtype=complex))
-        gaps = [abs(t[i] - t[j]) for i in range(3) for j in range(i + 1, 3)]
-        if min(gaps) == 0:
+        if _min_gap(t) == 0:
             raise ValueError("t components must be pairwise distinct")
         if min(abs(q - ti) for ti in t) == 0:
             raise ValueError("q must avoid t1, t2, t3")
@@ -62,10 +79,7 @@ class PhasePoint:
         return np.array([self.t[0], self.t[1], self.t[2], self.q])
 
     def min_pole_gap(self):
-        ps = self.poles()
-        return min(
-            abs(ps[i] - ps[j]) for i in range(4) for j in range(i + 1, 4)
-        )
+        return _min_gap(self.poles())
 
 
 def hamiltonian(i, pt):
@@ -101,15 +115,6 @@ class FuchsianEquation:
         """Local exponents {0, 1 + res(v1)} at the given finite pole."""
         return 0.0 + 0.0j, 1.0 + self.v1_residues[pole_index]
 
-    def min_pole_gap(self):
-        ps = self.poles
-        n = len(ps)
-        if n < 2:
-            return float("inf")
-        return min(
-            abs(ps[i] - ps[j]) for i in range(n) for j in range(i + 1, n)
-        )
-
 
 def build_equation(pt):
     """The Fuchsian equation attached to a phase point.
@@ -142,21 +147,20 @@ def _segment_pole_distance(z0, z1, c):
     return abs(c - (z0 + s * d))
 
 
-def transport(eq, path, rtol=1e-12, atol=1e-14, clearance=None):
+def transport(eq, path, rtol=1e-12, atol=1e-14):
     """Transfer matrix of the companion system along a polyline.
 
-    Returns T with (f, f')(end) = T (f, f')(start).  The default clearance
-    is 0.05 times the minimal pole gap; each integration step is clamped to
-    0.25 times the distance to the nearest pole, which keeps the adaptive
-    controller honest right where the coefficients blow up.  A leg that
-    needs more than _LEG_MAX_STEPS steps raises StepUnderflowError.
+    Returns T with (f, f')(end) = T (f, f')(start).  A path that comes
+    closer to a pole than 0.05 times the minimal pole gap raises
+    PoleClearanceError; each integration step is clamped to 0.25 times the
+    distance to the nearest pole, which keeps the adaptive controller
+    honest right where the coefficients blow up.  A leg that needs more
+    than _LEG_MAX_STEPS steps raises StepUnderflowError.
     """
     path = np.asarray(path, dtype=complex)
     if path.ndim != 1 or len(path) < 1:
         raise ValueError("path must be a nonempty sequence of points")
-    if clearance is None:
-        gap = eq.min_pole_gap()
-        clearance = 0.05 * gap if np.isfinite(gap) else 0.0
+    clearance = _clearance(eq.poles)
     for z0, z1 in zip(path[:-1], path[1:]):
         for c in eq.poles:
             if _segment_pole_distance(z0, z1, c) < clearance:
@@ -196,7 +200,7 @@ def transport(eq, path, rtol=1e-12, atol=1e-14, clearance=None):
     return T
 
 
-def _auto_basepoint(poles, clearance):
+def _auto_basepoint(poles):
     """A basepoint north of the poles with pole-free straight tails.
 
     Placing the basepoint above the cluster makes the anticlockwise loops
@@ -204,6 +208,7 @@ def _auto_basepoint(poles, clearance):
     M3 M2 M1, which is the arrangement behind the product identity
     M4 M3 M2 M1 = I (checked against an explicitly integrated big circle).
     """
+    clearance = _clearance(poles)
     center = np.mean(poles)
     span = max(1.0, max(abs(c - center) for c in poles) * 2.0)
     for trial in range(24):
@@ -219,8 +224,7 @@ def _auto_basepoint(poles, clearance):
     raise PoleClearanceError("no pole-free basepoint found")
 
 
-def loop_around(eq, pole_index, basepoint=None, radius_factor=0.3,
-                chords=24, clearance=None):
+def loop_around(eq, pole_index, basepoint=None, radius_factor=0.3):
     """Anticlockwise polyline loop around one pole, tailed to the basepoint.
 
     The circle radius is radius_factor times the distance to the nearest
@@ -231,15 +235,13 @@ def loop_around(eq, pole_index, basepoint=None, radius_factor=0.3,
     center = poles[pole_index]
     others = [c for i, c in enumerate(poles) if i != pole_index]
     radius = radius_factor * min(abs(center - c) for c in others)
-    if clearance is None:
-        clearance = 0.05 * eq.min_pole_gap()
     if basepoint is None:
-        basepoint = _auto_basepoint(poles, clearance)
+        basepoint = _auto_basepoint(poles)
     phi0 = np.angle(basepoint - center)
     entry = center + radius * np.exp(1j * phi0)
     circle = [
-        center + radius * np.exp(1j * (phi0 + 2.0 * np.pi * m / chords))
-        for m in range(chords + 1)
+        center + radius * np.exp(1j * (phi0 + 2.0 * np.pi * m / _LOOP_CHORDS))
+        for m in range(_LOOP_CHORDS + 1)
     ]
     return np.array([basepoint, entry] + circle[1:] + [basepoint])
 
@@ -297,9 +299,8 @@ def monodromy(pt, basepoint=None, rtol=1e-12, atol=1e-14):
     Fuchs relation, reproducing the trace -2 cos(pi kappa_4).
     """
     eq = build_equation(pt)
-    clearance = 0.05 * eq.min_pole_gap()
     if basepoint is None:
-        basepoint = _auto_basepoint(eq.poles, clearance)
+        basepoint = _auto_basepoint(eq.poles)
     k = pt.kappa
     raw = [_loop_transport(eq, i, basepoint, rtol, atol) for i in range(3)]
     raw4 = np.linalg.inv(raw[2] @ raw[1] @ raw[0])

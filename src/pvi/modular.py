@@ -14,6 +14,7 @@ right; negative letters are inverse generators.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,23 +108,28 @@ def jacobian(letter, point):
 
 
 def parse_word(text):
-    """Parse a word like "1 2 -1" (commas allowed) into a letter tuple."""
+    """Parse a word like "1 2 -1" (commas allowed) or a list of integers."""
     if isinstance(text, str):
         parts = text.replace(",", " ").split()
         letters = tuple(int(s) for s in parts)
     else:
-        letters = tuple(int(s) for s in text)
+        try:
+            letters = tuple(map(operator.index, text))
+        except TypeError:
+            raise ValueError(
+                f"a word is a string or a list of integers, got {text!r}"
+            ) from None
     for l in letters:
         if l not in (1, 2, 3, -1, -2, -3):
             raise ValueError(f"invalid word letter {l}")
     return letters
 
 
-def apply_word(word, point, escape_bound=ESCAPE_BOUND, _tangent=None):
+def apply_word(word, point, _tangent=None):
     """Apply a word left to right: the first letter acts first.
 
     Raises EscapeError as soon as any coordinate magnitude exceeds
-    escape_bound; orbits of these automorphisms can genuinely blow up.
+    ESCAPE_BOUND; orbits of these automorphisms can genuinely blow up.
     With _tangent set, the tangent vector is pushed forward through the
     exact Jacobians alongside the point.
     """
@@ -137,7 +143,7 @@ def apply_word(word, point, escape_bound=ESCAPE_BOUND, _tangent=None):
         else:
             point = apply_inverse(-letter, point)
         m = float(np.max(np.abs(point.x)))
-        if not np.isfinite(m) or m > escape_bound:
+        if not np.isfinite(m) or m > ESCAPE_BOUND:
             raise EscapeError(
                 f"orbit escaped at letter {pos}: |x| reached {m:.3e}"
             )
@@ -146,9 +152,9 @@ def apply_word(word, point, escape_bound=ESCAPE_BOUND, _tangent=None):
     return point
 
 
-def push_tangent(word, point, tangent, escape_bound=ESCAPE_BOUND):
+def push_tangent(word, point, tangent):
     """Point and tangent vector pushed forward through a word."""
-    return apply_word(word, point, escape_bound=escape_bound, _tangent=tangent)
+    return apply_word(word, point, _tangent=tangent)
 
 
 _TRANSPOSITIONS = {1: (1, 0, 2), 2: (0, 2, 1), 3: (2, 1, 0)}
@@ -208,7 +214,7 @@ class OrbitSample:
     f_residual: float
 
 
-def orbit(point, word, n, escape_bound=ESCAPE_BOUND):
+def orbit(point, word, n):
     """The orbit point, w(point), ..., w^n(point) with f-residuals.
 
     Requires a level-two word so that theta is constant along the orbit.
@@ -220,6 +226,6 @@ def orbit(point, word, n, escape_bound=ESCAPE_BOUND):
         raise ValueError("iteration count must be nonnegative")
     samples = [OrbitSample(0, point, point.f_residual())]
     for step in range(1, n + 1):
-        point = apply_word(word, point, escape_bound=escape_bound)
+        point = apply_word(word, point)
         samples.append(OrbitSample(step, point, point.f_residual()))
     return samples

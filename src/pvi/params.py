@@ -17,6 +17,7 @@ strata are labeled geometrically from the singular points of the cubic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,10 +120,15 @@ def weyl_reflect(i, kappa):
 
 
 def parse_weyl_word(word):
-    """A Weyl word is a string over '01234' (whitespace ignored) or an int sequence."""
+    """A Weyl word is a string over '01234' (whitespace ignored) or a list of integers."""
     if isinstance(word, str):
         return tuple(int(ch) for ch in word if not ch.isspace())
-    return tuple(int(i) for i in word)
+    try:
+        return tuple(map(operator.index, word))
+    except TypeError:
+        raise ValueError(
+            f"a Weyl word is a string or a list of integers, got {word!r}"
+        ) from None
 
 
 def weyl_apply(word, kappa):
@@ -168,15 +174,21 @@ class StratumLabel:
 def classify_stratum(kappa, tol=1e-8):
     """Label the stratum of kappa from the geometry of the cubic surface.
 
-    The singular points of S(rh_param(kappa)) are computed and their local
-    types combined: k separate nodes give kA1, a single higher point gives
-    its own type.  This realizes the classification of singularities by
+    The singular points of S(rh_param(kappa)) are computed and labeled by
+    label_stratum.  This realizes the classification of singularities by
     Dynkin subdiagrams without searching for a Weyl-group witness.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    theta = rh_param(kappa)
-    report = cubic.singular_points(theta, tol=tol)
+    return label_stratum(cubic.singular_points(rh_param(kappa), tol=tol))
+
+
+def label_stratum(report):
+    """The StratumLabel of a cubic surface from its singular points.
+
+    The local types are combined: k separate nodes give kA1, a single
+    higher point gives its own type.  Any other configuration, or a total
+    Milnor number above 4, matches no subdiagram of D4(1) and raises
+    UnclassifiableError.
+    """
     pts = report.points
     if not pts:
         return StratumLabel("smooth", 0, report)

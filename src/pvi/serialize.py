@@ -69,7 +69,13 @@ def encode_phase_point(pt):
     }
 
 
+def _require_object(obj, what):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+
+
 def decode_phase_point(obj):
+    _require_object(obj, "a phase point")
     return fuchsian.PhasePoint.make(
         decode_complex(obj["q"]),
         decode_complex(obj["p"]),
@@ -86,14 +92,11 @@ def encode_ambient_point(point):
 
 
 def decode_ambient_point(obj):
+    _require_object(obj, "an ambient point")
     return modular.AmbientPoint.make(
         decode_complex_seq(obj["x"], 3),
         decode_complex_seq(obj["theta"], 4),
     )
-
-
-def encode_matrix(m):
-    return [[encode_complex(z) for z in row] for row in np.asarray(m)]
 
 
 ORBIT_HEADER = (

@@ -3,9 +3,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from pvi import cli, fuchsian
+from pvi import cli, cubic, fuchsian, params
 
 
 RH_INPUT = (
@@ -18,6 +19,23 @@ RH_RHS_EVALS = 17290
 MONODROMY_INPUT = (
     '{"point": {"q": [0.4,0.3], "p": [0.2,-0.5], "t": [0,1,2], '
     '"kappa_free": [0.21,0.33,0.17,0.11]}, "braid": "1 1"}'
+)
+ORBIT_INPUT = (
+    '{"point": {"x": [[0.1,0.2],[0.3,-0.1],[0.2,0.05]], '
+    '"theta": [[0.5,0],[0.25,0],[0.75,0],[0.1,0]]}, '
+    '"word": "1 1 -2 -2", "n": 6}'
+)
+# kappa = (k0, ..., k4) of one representative per stratum.
+STRATA = (
+    ((5 / 32, 1 / 4, 1 / 4, 1 / 8, 1 / 16), "smooth"),
+    ((0, 7 / 20, 1 / 10, 3 / 20, 2 / 5), "A1"),
+    ((5 / 32, 0, 1 / 4, 1 / 8, 5 / 16), "A1"),
+    ((5 / 16, 0, 0, 1 / 8, 1 / 4), "2A1"),
+    ((7 / 16, 0, 0, 0, 1 / 8), "3A1"),
+    ((1 / 2, 0, 0, 0, 0), "4A1"),
+    ((0, 0, 1 / 4, 1 / 4, 1 / 2), "A2"),
+    ((0, 0, 0, 1 / 2, 1 / 2), "A3"),
+    ((0, 0, 0, 0, 1), "D4"),
 )
 
 
@@ -212,11 +230,89 @@ def test_rh_right_hand_side_evaluations_stay_bounded(tmp_path, monkeypatch):
         ("rh", RH_INPUT.replace('"p": [0.2,-0.5]', '"p": [NaN,-0.5]')),
         ("rh", RH_INPUT.replace('"t": [0,1,2]', '"t": [0,1,-Infinity]')),
         ("classify", '{"kappa": [0,0,0,NaN,1]}'),
+        ("classify", "{}"),
+        ("flow", '{"point": [1], "path": []}'),
+        ("flow", MONODROMY_INPUT.replace('"braid": "1 1"', '"path": 5')),
+        ("monodromy", MONODROMY_INPUT.replace('"braid": "1 1"', '"braid": 5')),
+        ("monodromy", '{"point": "x", "braid": "1 1"}'),
+        ("backlund", MONODROMY_INPUT.replace('"braid": "1 1"', '"word": 5')),
+        ("backlund", MONODROMY_INPUT.replace('"braid": "1 1"', '"word": [[1]]')),
+        ("orbit", '{"point": [1], "word": "1 1", "n": 1}'),
+        ("orbit", ORBIT_INPUT.replace('"word": "1 1 -2 -2"', '"word": 5')),
+        ("orbit", ORBIT_INPUT.replace('"n": 6', '"n": [1]')),
     ],
-    ids=["inline-array", "scalar-t", "nan-kappa-free", "inf-q", "nan-p", "inf-t", "nan-kappa"],
+    ids=[
+        "inline-array", "scalar-t", "nan-kappa-free", "inf-q", "nan-p", "inf-t", "nan-kappa",
+        "classify-no-key", "flow-list-point", "flow-scalar-path", "monodromy-scalar-braid",
+        "monodromy-string-point", "backlund-scalar-word", "backlund-nested-word",
+        "orbit-list-point", "orbit-scalar-word", "orbit-list-n",
+    ],
 )
 def test_malformed_input_is_one_error_line(command, spec, capsys):
     assert cli.main([command, "--input", spec]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["classify", "rh", "orbit", "flow", "monodromy", "backlund"])
+def test_missing_input_option_is_one_error_line(command, capsys):
+    assert cli.main([command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selftest", "--input", "{}"],
+        ["selftest", "--tol", "1"],
+        ["rh", "--seed", "1", "--input", RH_INPUT],
+        ["classify", "--max-steps", "3", "--input", "{}"],
+        ["flow", "--orientation", "inv", "--input", "{}"],
+    ],
+)
+def test_subcommand_rejects_an_option_it_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
+def _classify(spec, capsys):
+    assert cli.main(["classify", "--input", json.dumps(spec)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_classify_off_every_wall_is_smooth_and_off_the_wall(capsys):
+    # every D4 root value of this kappa is at least 0.05 from an integer, and
+    # its scaled discriminant lift reads 1.1e-4
+    kappa_free = [-0.8824417998909664, 0.773860317905306, 0.10510376233591223, -0.886912248587404]
+    payload = _classify({"kappa_free": kappa_free}, capsys)
+    assert payload["stratum"] == "smooth"
+    assert payload["singular_points"] == []
+    assert payload["on_wall"] is False
+
+
+@pytest.mark.parametrize("kappa, label", STRATA, ids=[f"{i}-{lab}" for i, (_, lab) in enumerate(STRATA)])
+def test_classify_kappa_and_theta_agree(kappa, label, capsys):
+    theta = params.rh_param(params.Exponents(*kappa))
+    by_kappa = _classify({"kappa": list(kappa)}, capsys)
+    by_theta = _classify({"theta": [[z.real, z.imag] for z in theta]}, capsys)
+    assert by_kappa["stratum"] == label
+    for key in ("stratum", "index_set_size", "on_wall", "singular_points"):
+        assert by_theta[key] == by_kappa[key]
+    assert by_kappa["on_wall"] is (label != "smooth")
+
+
+def test_classify_theta_rejects_a_configuration_of_no_stratum(monkeypatch, capsys):
+    """An A1 and an A2 point together match no subdiagram of D4(1)."""
+    theta = np.array([8.0, 8.0, 8.0, 28.0], dtype=complex)
+    report = cubic.SingularPointReport(theta, (
+        cubic.SingularPoint(np.zeros(3, dtype=complex), "A1", 1, 0),
+        cubic.SingularPoint(np.ones(3, dtype=complex), "A2", 2, 1),
+    ))
+    monkeypatch.setattr(cubic, "singular_points", lambda theta, tol: report)
+    assert cli.main(["classify", "--input", '{"theta": [8,8,8,28]}']) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "does not match any stratum" in err

@@ -9,7 +9,9 @@ Riccati locus (flow), the birational symmetries (backlund), and a
 command-line front door (cli).
 """
 
-from . import backlund, cli, cubic, flow, fuchsian, modular, params, rk, serialize
+import importlib
+
+from . import backlund, cubic, flow, fuchsian, modular, params, rk, serialize
 from .cubic import SurfacePoint
 from .fuchsian import PhasePoint
 from .modular import AmbientPoint
@@ -32,3 +34,10 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # pvi.cli loads on first use, so `python -m pvi.cli` finds it unloaded
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

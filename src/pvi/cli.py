@@ -57,17 +57,16 @@ def _emit(args, payload):
 def cmd_classify(args):
     """The stratum of kappa or theta; on_wall is true iff S(theta) is singular."""
     data = _load_input(args.input)
-    tol = args.tol if args.tol is not None else 1e-8
     if "kappa" in data or "kappa_free" in data:
         kappa = serialize.decode_exponents(data)
         lift = serialize.encode_complex(
             cubic.discriminant_lift(params.kappa_to_a(kappa))
         )
-        label = params.classify_stratum(kappa, tol=tol)
+        label = params.classify_stratum(kappa)
     elif "theta" in data:
         theta = serialize.decode_complex_seq(data["theta"], 4)
         lift = None
-        label = params.label_stratum(cubic.singular_points(theta, tol=tol))
+        label = params.label_stratum(cubic.singular_points(theta))
     else:
         raise ValueError("classify input needs 'kappa', 'kappa_free' or 'theta'")
     payload = {
@@ -294,7 +293,8 @@ def build_parser():
     }
     io = ("--input", "--out", "--tol")
     specs = {
-        "classify": (cmd_classify, "wall status and surface singularities", io),
+        "classify": (cmd_classify, "wall status and surface singularities",
+                     ("--input", "--out")),
         "rh": (cmd_rh, "monodromy coordinates of a phase point", io),
         "orbit": (cmd_orbit, "iterate a modular-group word, CSV output",
                   io + ("--max-steps",)),

@@ -102,18 +102,12 @@ class TimePath:
 
 @dataclass(frozen=True)
 class FlowSample:
-    """One accepted integrator step.
-
-    step_error is the tolerance-weighted local error estimate of the step
-    that produced the sample (accepted steps satisfy step_error <= 1); the
-    initial sample carries 0.
-    """
+    """The state after one accepted integrator step, or the initial state."""
 
     arclength: float
     t: np.ndarray
     q: complex
     p: complex
-    step_error: float
 
 
 @dataclass(frozen=True)
@@ -201,7 +195,7 @@ def _moving_segments(path):
         yield a, v, cap
 
 
-def integrate(pt, path, rtol=1e-12, atol=1e-14):
+def integrate(pt, path):
     """Integrate the Hamiltonian system along a polyline time path.
 
     The step size is capped at 0.05 times the current minimal pole gap.
@@ -219,7 +213,7 @@ def integrate(pt, path, rtol=1e-12, atol=1e-14):
     kk = (k.k1, k.k2, k.k3)
     b = k.k0 * (k.k0 + k.k4)
 
-    samples = [FlowSample(0.0, pt.t.copy(), pt.q, pt.p, 0.0)]
+    samples = [FlowSample(0.0, pt.t.copy(), pt.q, pt.p)]
     y = np.array([pt.q, pt.p], dtype=complex)
     arc_base = 0.0
     for a, v, cap in _moving_segments(path):
@@ -247,12 +241,9 @@ def integrate(pt, path, rtol=1e-12, atol=1e-14):
                     f"at arclength {arc:.6f}",
                     arc, t_s, q_s, p_s,
                 )
-            samples.append(FlowSample(arc, t_s, q_s, p_s, float(err)))
+            samples.append(FlowSample(arc, t_s, q_s, p_s))
 
-        y = rk.adaptive_rk(
-            rhs, y, 0.0, 1.0, rtol=rtol, atol=atol, max_step=cap,
-            on_accept=record,
-        )
+        y = rk.adaptive_rk(rhs, y, 0.0, 1.0, max_step=cap, on_accept=record)
         arc_base += vnorm
     return Trajectory(kappa=pt.kappa, samples=tuple(samples))
 
@@ -295,7 +286,7 @@ def braid_loop_path(t, braid):
     return TimePath.make(vertices)
 
 
-def nonlinear_monodromy(pt, braid, rtol=1e-12, atol=1e-14):
+def nonlinear_monodromy(pt, braid):
     """Poincare return map of the flow along a closed pure-braid loop.
 
     The braid must be pure (identity underlying permutation), so the
@@ -306,7 +297,7 @@ def nonlinear_monodromy(pt, braid, rtol=1e-12, atol=1e-14):
     if modular.perm_image(letters) != (0, 1, 2):
         raise ValueError("braid is not pure: the pole triple would not return")
     path = braid_loop_path(pt.t, letters)
-    return integrate(pt, path, rtol=rtol, atol=atol).end()
+    return integrate(pt, path).end()
 
 
 def _chart_derivatives(q, p, x, kappa):
@@ -459,7 +450,7 @@ def _riccati_abc(t, v, kappa):
     return a, b, c, aprime
 
 
-def riccati_flow(pt, path, rtol=1e-12, atol=1e-14):
+def riccati_flow(pt, path):
     """Integrate on the Riccati locus and verify its linearization.
 
     Returns (trajectory, report).  The trajectory comes from the full
@@ -474,7 +465,7 @@ def riccati_flow(pt, path, rtol=1e-12, atol=1e-14):
     if abs(pt.p) > 1e-12:
         raise NotOnRiccatiLocusError("p must vanish on the Riccati locus")
     path = _coerce_path(path)
-    traj = integrate(pt, path, rtol=rtol, atol=atol)
+    traj = integrate(pt, path)
     max_p = max(abs(s.p) for s in traj.samples)
 
     coeffs = riccati_coefficients(pt.t, pt.kappa)
@@ -522,8 +513,7 @@ def riccati_flow(pt, path, rtol=1e-12, atol=1e-14):
             if abs(aa * yy) > 1e-300:
                 track["dev"] = max(track["dev"], abs(qq + yp / (aa * yy)))
 
-        y = rk.adaptive_rk(rhs, y, 0.0, 1.0, rtol=rtol, atol=atol,
-                           max_step=cap, on_accept=watch)
+        y = rk.adaptive_rk(rhs, y, 0.0, 1.0, max_step=cap, on_accept=watch)
         dev = max(dev, track["dev"])
         q = y[0]
 

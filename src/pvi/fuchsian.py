@@ -147,7 +147,7 @@ def _segment_pole_distance(z0, z1, c):
     return abs(c - (z0 + s * d))
 
 
-def transport(eq, path, rtol=1e-12, atol=1e-14):
+def transport(eq, path):
     """Transfer matrix of the companion system along a polyline.
 
     Returns T with (f, f')(end) = T (f, f')(start).  A path that comes
@@ -194,8 +194,8 @@ def transport(eq, path, rtol=1e-12, atol=1e-14):
             z = z0 + s * seg
             return max(1e-12, scale * min(abs(z - c) for c in poles))
 
-        y = adaptive_rk(rhs, T.reshape(4), 0.0, 1.0, rtol=rtol, atol=atol,
-                        max_step=clamp, max_steps=_LEG_MAX_STEPS)
+        y = adaptive_rk(rhs, T.reshape(4), 0.0, 1.0, max_step=clamp,
+                        max_steps=_LEG_MAX_STEPS)
         T = y.reshape(2, 2)
     return T
 
@@ -224,17 +224,17 @@ def _auto_basepoint(poles):
     raise PoleClearanceError("no pole-free basepoint found")
 
 
-def loop_around(eq, pole_index, basepoint=None, radius_factor=0.3):
+def loop_around(eq, pole_index, basepoint=None):
     """Anticlockwise polyline loop around one pole, tailed to the basepoint.
 
-    The circle radius is radius_factor times the distance to the nearest
-    other pole, so the loop encloses exactly its own pole; the tail runs
-    straight from the basepoint to the circle.
+    The circle radius is 0.3 times the distance to the nearest other pole,
+    so the loop encloses exactly its own pole; the tail runs straight from
+    the basepoint to the circle.
     """
     poles = eq.poles
     center = poles[pole_index]
     others = [c for i, c in enumerate(poles) if i != pole_index]
-    radius = radius_factor * min(abs(center - c) for c in others)
+    radius = 0.3 * min(abs(center - c) for c in others)
     if basepoint is None:
         basepoint = _auto_basepoint(poles)
     phi0 = np.angle(basepoint - center)
@@ -276,7 +276,7 @@ class MonodromyRep:
         )
 
 
-def _loop_transport(eq, pole_index, basepoint, rtol, atol):
+def _loop_transport(eq, pole_index, basepoint):
     """Transfer matrix along loop_around(eq, pole_index, basepoint=basepoint).
 
     The loop runs out along its tail, around the circle and back along the
@@ -284,12 +284,12 @@ def _loop_transport(eq, pole_index, basepoint, rtol, atol):
     way out; so the tail is integrated once and T = T_tail^-1 C T_tail.
     """
     path = loop_around(eq, pole_index, basepoint=basepoint)
-    tail = transport(eq, path[:2], rtol=rtol, atol=atol)
-    circle = transport(eq, path[1:-1], rtol=rtol, atol=atol)
+    tail = transport(eq, path[:2])
+    circle = transport(eq, path[1:-1])
     return np.linalg.solve(tail, circle @ tail)
 
 
-def monodromy(pt, basepoint=None, rtol=1e-12, atol=1e-14):
+def monodromy(pt, basepoint=None):
     """Normalized monodromy of the Fuchsian equation of a phase point.
 
     Raw transports around t1, t2, t3 have determinant e^{2 pi i kappa_i};
@@ -302,7 +302,7 @@ def monodromy(pt, basepoint=None, rtol=1e-12, atol=1e-14):
     if basepoint is None:
         basepoint = _auto_basepoint(eq.poles)
     k = pt.kappa
-    raw = [_loop_transport(eq, i, basepoint, rtol, atol) for i in range(3)]
+    raw = [_loop_transport(eq, i, basepoint) for i in range(3)]
     raw4 = np.linalg.inv(raw[2] @ raw[1] @ raw[0])
     kk = (k.k1, k.k2, k.k3)
     normalized = [np.exp(-1j * np.pi * kk[i]) * raw[i] for i in range(3)]
@@ -310,22 +310,21 @@ def monodromy(pt, basepoint=None, rtol=1e-12, atol=1e-14):
     return MonodromyRep(tuple(normalized), basepoint)
 
 
-def apparent_check(pt, basepoint=None, rtol=1e-12, atol=1e-14):
+def apparent_check(pt):
     """Norm of (raw monodromy around q) minus the identity.
 
     Small values certify that q is an apparent singular point, which is
     exactly the property the Hamiltonian values encode; corrupting any H_i
     destroys it.
     """
-    Tq = _loop_transport(build_equation(pt), 3, basepoint, rtol, atol)
+    Tq = _loop_transport(build_equation(pt), 3, None)
     return float(np.linalg.norm(Tq - np.eye(2)))
 
 
-def rh_point(pt, basepoint=None, rtol=1e-12, atol=1e-14):
+def rh_point(pt):
     """The Riemann-Hilbert image of a phase point on its cubic surface.
 
     x_i = Tr(M_j M_k) for (i,j,k) cyclic, theta = rh_param(kappa); the
     returned SurfacePoint carries |f(x, theta)| as residual.
     """
-    rep = monodromy(pt, basepoint=basepoint, rtol=rtol, atol=atol)
-    return rep.surface_point(pt.kappa)
+    return monodromy(pt).surface_point(pt.kappa)

@@ -10,13 +10,15 @@ Three parameter levels appear throughout the package:
 theta is a basis of invariants of the affine Weyl group W(D4(1)) acting on
 kappa by the reflections sigma_i(k_j) = k_j - k_i * C[i][j], so the composite
 kappa -> a -> theta is the Riemann-Hilbert correspondence in the parameter
-level.  Wall membership (kappa on a reflecting hyperplane, equivalently the
-cubic surface singular) is decided through the lifted discriminant, and
-strata are labeled geometrically from the singular points of the cubic.
+level.  kappa lies on a reflecting hyperplane (a wall) exactly when one of
+the twelve positive-root values of D4 at kappa is an integer, and exactly
+then the cubic surface is singular; on_wall decides it from those values,
+and strata are labeled geometrically from the singular points of the cubic.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -36,11 +38,13 @@ CARTAN = np.array(
     dtype=int,
 )
 
-_AFFINE_WEIGHTS = np.array([2.0, 1.0, 1.0, 1.0, 1.0])
-
-
 class UnclassifiableError(RuntimeError):
-    """Stratum classification failed; near-degenerate theta, tighten tol."""
+    """The singular points of a cubic surface match no stratum."""
+
+
+def _affine_tol(k):
+    """Absolute tolerance of the affine relation and of on_wall at kappa k."""
+    return 1e-9 * max(1.0, max(abs(ki) for ki in k))
 
 
 @dataclass(frozen=True)
@@ -55,8 +59,7 @@ class Exponents:
 
     def __post_init__(self):
         rel = 2 * self.k0 + self.k1 + self.k2 + self.k3 + self.k4
-        scale = max(1.0, max(abs(getattr(self, f"k{i}")) for i in range(5)))
-        if abs(rel - 1.0) > 1e-9 * scale:
+        if abs(rel - 1.0) > _affine_tol((self.k0, self.k1, self.k2, self.k3, self.k4)):
             raise ValueError(
                 f"affine relation violated: 2*k0+k1+k2+k3+k4 = {rel} != 1"
             )
@@ -139,22 +142,22 @@ def weyl_apply(word, kappa):
     return out
 
 
-def discriminant_scale(a):
-    """Normalization constant for wall decisions, deg(discriminant lift) = 16."""
-    return max(1.0, float(np.max(np.abs(a)))) ** 16
-
-
-def on_wall(kappa, tol=1e-8):
+def on_wall(kappa):
     """True iff kappa lies on a reflecting hyperplane of W(D4(1)).
 
-    Decided through the lifted discriminant w(a)^2 * prod(a_i^2 - 4), whose
-    vanishing is equivalent to the cubic surface S(theta) being singular.
-    The value is compared against tol after scale normalization.
+    That is, iff a positive-root value of D4 (centre k0, legs k1, k2, k3)
+    lies within _affine_tol of an integer: a leg, k0 plus any subset of the
+    legs, or 2 k0 + k1 + k2 + k3 = 1 - k4.  k0 comes from k1..k4 through
+    the affine relation, so a kappa that breaks it is read by its free part.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    a = kappa_to_a(kappa)
-    return bool(abs(cubic.discriminant_lift(a)) <= tol * discriminant_scale(a))
+    k = _kappa_array(kappa)
+    k0 = (1.0 - (k[1] + k[2] + k[3] + k[4])) / 2.0
+    legs = tuple(k[1:4])
+    values = [*legs, 2 * k0 + sum(legs)] + [
+        k0 + sum(subset) for r in range(4) for subset in itertools.combinations(legs, r)
+    ]
+    distance = min(abs(v - round(v.real)) for v in values)
+    return bool(distance <= _affine_tol([k0, *k[1:]]))
 
 
 @dataclass(frozen=True)
@@ -171,28 +174,27 @@ class StratumLabel:
     report: "cubic.SingularPointReport"
 
 
-def classify_stratum(kappa, tol=1e-8):
+def classify_stratum(kappa):
     """Label the stratum of kappa from the geometry of the cubic surface.
 
     The singular points of S(rh_param(kappa)) are computed and labeled by
     label_stratum.  This realizes the classification of singularities by
     Dynkin subdiagrams without searching for a Weyl-group witness.
     """
-    return label_stratum(cubic.singular_points(rh_param(kappa), tol=tol))
+    return label_stratum(cubic.singular_points(rh_param(kappa)))
 
 
 def label_stratum(report):
     """The StratumLabel of a cubic surface from its singular points.
 
     The local types are combined: k separate nodes give kA1, a single
-    higher point gives its own type.  Any other configuration, or a total
-    Milnor number above 4, matches no subdiagram of D4(1) and raises
-    UnclassifiableError.
+    higher point gives its own type.  Any other configuration matches no
+    subdiagram of D4(1) and raises UnclassifiableError; singular_points
+    already refuses a total Milnor number above 4.
     """
     pts = report.points
     if not pts:
         return StratumLabel("smooth", 0, report)
-    milnor_total = sum(p.milnor for p in pts)
     if len(pts) == 1:
         label = pts[0].local_type
     elif all(p.local_type == "A1" for p in pts):
@@ -200,11 +202,6 @@ def label_stratum(report):
     else:
         raise UnclassifiableError(
             f"singular configuration {[p.local_type for p in pts]} does not "
-            "match any stratum; near-degenerate theta, tighten tolerance"
+            "match any stratum; near-degenerate theta"
         )
-    if milnor_total > 4:
-        raise UnclassifiableError(
-            f"total Milnor number {milnor_total} exceeds 4; spurious points "
-            "suggest the solve did not converge"
-        )
-    return StratumLabel(label, milnor_total, report)
+    return StratumLabel(label, sum(p.milnor for p in pts), report)

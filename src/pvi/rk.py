@@ -35,10 +35,16 @@ _B4 = np.array(
 )
 _ERR = _B5 - _B4
 
+# Tolerances of every integration: a step is accepted when its error
+# estimate, weighted by _ATOL + _RTOL * |y|, has root-mean-square at most 1.
+_RTOL = 1e-12
+_ATOL = 1e-14
+_MIN_STEP = 1e-14  # a shorter step raises StepUnderflowError
 
-def _error_norm(err, y_old, y_new, rtol, atol):
-    """Root-mean-square of err weighted by atol + rtol * max(|y_old|, |y_new|)."""
-    r = np.abs(err / (atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))))
+
+def _error_norm(err, y_old, y_new):
+    """Root-mean-square of err weighted by _ATOL + _RTOL * max(|y_old|, |y_new|)."""
+    r = np.abs(err / (_ATOL + _RTOL * np.maximum(np.abs(y_old), np.abs(y_new))))
     return (float(r @ r) / r.size) ** 0.5
 
 
@@ -47,14 +53,11 @@ def adaptive_rk(
     y0,
     s0,
     s1,
-    rtol=1e-12,
-    atol=1e-14,
     max_step=None,
-    min_step=1e-14,
     max_steps=2_000_000,
     on_accept=None,
 ):
-    """Integrate dy/ds = f(s, y) from s0 to s1 (real s, complex y).
+    """Integrate dy/ds = f(s, y) from s0 to s1 (real s, complex y) at _RTOL, _ATOL.
 
     max_step may be a positive float or a callable (s, y) -> float giving a
     local clamp.  on_accept(s, y, h, err) is called after every accepted step
@@ -86,7 +89,7 @@ def adaptive_rk(
         if direction * (s - s1) >= 0:
             return y
         h = min(h, clamp(s, y), abs(s1 - s))
-        if h < min_step:
+        if h < _MIN_STEP:
             raise StepUnderflowError(
                 f"step size {h:.3e} underflowed at s={s:.6f} (pole or stiffness)"
             )
@@ -94,7 +97,7 @@ def adaptive_rk(
         for i in range(1, 7):
             k[i] = f(s + _C[i] * hd, y + hd * (_A[i] @ k[:i]))
         y_new = y + hd * (_B5 @ k)
-        err = _error_norm(hd * (_ERR @ k), y, y_new, rtol, atol)
+        err = _error_norm(hd * (_ERR @ k), y, y_new)
         if err <= 1.0:
             s = s + hd
             y = y_new

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +168,18 @@ def test_selftest_passes(capsys):
     assert all(line.startswith("pass") for line in lines)
 
 
+def test_module_entry_point_runs_without_a_runpy_warning():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pvi.cli", "selftest"], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def test_output_is_byte_identical_across_runs(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     cli.main(["classify", "--input", '{"kappa": [0,0,0,0,1]}', "--out", str(a)])
@@ -270,6 +286,7 @@ def test_missing_input_option_is_one_error_line(command, capsys):
         ["selftest", "--tol", "1"],
         ["rh", "--seed", "1", "--input", RH_INPUT],
         ["classify", "--max-steps", "3", "--input", "{}"],
+        ["classify", "--tol", "1e-6", "--input", "{}"],
         ["flow", "--orientation", "inv", "--input", "{}"],
     ],
 )
@@ -312,7 +329,7 @@ def test_classify_theta_rejects_a_configuration_of_no_stratum(monkeypatch, capsy
         cubic.SingularPoint(np.zeros(3, dtype=complex), "A1", 1, 0),
         cubic.SingularPoint(np.ones(3, dtype=complex), "A2", 2, 1),
     ))
-    monkeypatch.setattr(cubic, "singular_points", lambda theta, tol: report)
+    monkeypatch.setattr(cubic, "singular_points", lambda theta: report)
     assert cli.main(["classify", "--input", '{"theta": [8,8,8,28]}']) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "does not match any stratum" in err

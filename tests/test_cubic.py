@@ -133,7 +133,7 @@ def test_discriminant_lift_vanishes_exactly_on_walls():
         # a wall point: k1 = 0 forces a1 = 2, killing the product factor
         k_wall = params.Exponents.from_free(0.0, *free[1:])
         a = params.kappa_to_a(k_wall)
-        assert abs(cubic.discriminant_lift(a)) < 1e-10 * params.discriminant_scale(a)
+        assert abs(cubic.discriminant_lift(a)) < 1e-10 * max(1.0, float(np.max(np.abs(a)))) ** 16
     # generic points stay well away from zero
     k_gen = params.Exponents.from_free(0.21, 0.33, 0.17, 0.11)
     a = params.kappa_to_a(k_gen)
@@ -203,5 +203,3 @@ def test_theta_validation():
         cubic.eval_f([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         cubic.eval_f([1.0, 2.0], [1.0, 2.0, 3.0, 4.0])
-    with pytest.raises(ValueError):
-        cubic.singular_points([8.0, 8.0, 8.0, 28.0], tol=0.0)

@@ -174,7 +174,7 @@ class TestPviResidual:
             kappa=self.kappa,
             samples=tuple(
                 flow.FlowSample(
-                    s, np.array([0, 1, 2.0 + 0.1j + s]), 0.4 + 0.3j, 0.2 - 0.5j, 0.0
+                    s, np.array([0, 1, 2.0 + 0.1j + s]), 0.4 + 0.3j, 0.2 - 0.5j
                 )
                 for s in np.linspace(0, 1, 30)
             ),

@@ -1,9 +1,13 @@
 """Tests for the parameter space: exponents, traces, walls, strata."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pvi import params
+from pvi import cubic, params
 
 
 def test_affine_relation_enforced():
@@ -88,8 +92,43 @@ def test_on_wall_examples():
     assert params.on_wall([0.125, 0.25, 0.25, 0.125, 0.0])
     # a genuinely generic affine-exact point is off the wall
     assert not params.on_wall([5 / 32, 1 / 4, 1 / 4, 1 / 8, 1 / 16])
-    with pytest.raises(ValueError):
-        params.on_wall([0.125, 0.25, 0.25, 0.125, 0.0], tol=0.0)
+    # every root value is at least 0.05 from an integer, yet the scaled
+    # discriminant lift reads only 1.1e-4
+    assert not params.on_wall(params.Exponents.from_free(
+        -0.8824417998909664, 0.773860317905306, 0.10510376233591223, -0.886912248587404))
+
+
+# Coefficients of the twelve positive roots of D4 over (k0, k1, k2, k3):
+# the legs, the centre plus any subset of the legs, and the highest root.
+ROOTS = [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (2, 1, 1, 1)] + [
+    (1, *legs) for legs in itertools.product((0, 1), repeat=3)
+]
+COMPONENT = st.floats(-0.9, 0.9)
+
+
+def _root_values(k):
+    return [sum(c * ki for c, ki in zip(root, k)) for root in ROOTS]
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(k=st.lists(COMPONENT, min_size=4, max_size=4), root=st.sampled_from(ROOTS))
+def test_kappa_built_on_a_wall_is_on_it_and_singular(k, root):
+    """One root value moved onto the integers: on a wall, S(theta) singular."""
+    value = _root_values(k)[ROOTS.index(root)]
+    k[root.index(1)] += round(value) - value
+    kappa = params.Exponents(*k, 1 - 2 * k[0] - k[1] - k[2] - k[3])
+    assert params.on_wall(kappa)
+    assert cubic.singular_points(params.rh_param(kappa))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.lists(COMPONENT, min_size=4, max_size=4).filter(
+    lambda free: all(abs(v - round(v)) >= 0.05 for v in
+                     _root_values([(1 - sum(free)) / 2, *free[:3]]))))
+def test_kappa_away_from_every_wall_is_off_and_smooth(free):
+    kappa = params.Exponents.from_free(*free)
+    assert not params.on_wall(kappa)
+    assert not cubic.singular_points(params.rh_param(kappa))
 
 
 # One representative per stratum: components zeroed according to the
@@ -114,8 +153,3 @@ def test_stratification_battery(kappa, expected, milnor):
     assert label.dynkin_type == expected
     assert label.index_set_size == milnor
     assert params.on_wall(k) == bool(label.report.points)
-
-
-def test_classify_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        params.classify_stratum([0.125, 0.25, 0.25, 0.125, 0.0], tol=-1.0)

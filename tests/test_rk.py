@@ -91,3 +91,18 @@ def test_oscillator_accuracy_at_default_tolerances():
     )
     assert abs(y[0] - 1.0) < 1e-9
     assert abs(y[1]) < 1e-9
+
+
+def test_tolerances_are_the_module_constants(monkeypatch):
+    """A tolerance sweep sets rk._RTOL and rk._ATOL: looser takes fewer steps."""
+
+    def accepted_steps():
+        steps = []
+        rk.adaptive_rk(lambda s, y: 1j * y, np.array([1.0 + 0j]), 0.0, 10.0,
+                       on_accept=lambda s, y, h, err: steps.append(h))
+        return len(steps)
+
+    tight = accepted_steps()
+    monkeypatch.setattr(rk, "_RTOL", 1e-6)
+    monkeypatch.setattr(rk, "_ATOL", 1e-8)
+    assert accepted_steps() < tight / 5

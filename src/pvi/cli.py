@@ -4,8 +4,8 @@ Subcommands: classify | rh | orbit | flow | monodromy | backlund |
 selftest.  Inputs come from a JSON file, an inline JSON string, or stdin;
 outputs are JSON or CSV, deterministic for a fixed (input, seed,
 tolerance) triple.  The exit code is 0 exactly when every requested check
-lands within tolerance.  Set PVI_LOG=DEBUG (or any logging level) for
-verbose progress on stderr.
+lands within tolerance.  Set PVI_LOG=INFO (or any logging level) to log
+each call's subcommand and exit code on stderr.
 """
 
 from __future__ import annotations
@@ -324,7 +324,7 @@ def main(argv=None):
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
     except (
         ValueError,
         KeyError,
@@ -336,7 +336,9 @@ def main(argv=None):
         rk.StepUnderflowError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code = 1
+    log.info("pvi %s: exit %d", args.command, code)
+    return code
 
 
 if __name__ == "__main__":

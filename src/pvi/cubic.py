@@ -14,9 +14,13 @@ factors, and the singular points of S(theta) together with their ADE types
 
 from __future__ import annotations
 
+import cmath
+import logging
 from dataclasses import dataclass
 
 import numpy as np
+
+log = logging.getLogger(__name__)
 
 
 class SingularPointError(ValueError):
@@ -179,10 +183,13 @@ def _special_branch(theta, slot):
     f is invariant under cyclic relabeling of (x, theta[:3]) together, so
     the slot is rotated into the third position, where fixing x3 = t and
     eliminating x1 = (th1 - x2 t)/2 reduces grad_f = 0 to the quadratic
-    -t x2^2 + th1 x2 + 4 t - 2 th3 = 0.  Every corank >= 1 point has some
-    coordinate equal to ±2 (the diagonal 2x2 minors of the Hessian vanish),
-    and there the quadratic has a double root, which the snap in the solver
-    recovers exactly.
+    -t x2^2 + th1 x2 + 4 t - 2 th3 = 0.  These are the lines where the
+    quintic elimination of _critical_candidates cannot solve for x2.  A
+    corank-2 (D4) point has every coordinate equal to ±2, since all 2x2
+    minors of its Hessian vanish, including the diagonal ones 4 - x_k^2;
+    there the quadratic has a double root, which the snap in the solver
+    recovers exactly.  A corank-1 point need not lie on these lines: the
+    A2 point (0, √2, √2) of theta = (2, 2√2, 2√2, 4) comes from the quintic.
     """
     shift = (slot - 2) % 3
     t1, t2, t3 = (theta[(i + shift) % 3] for i in range(3))
@@ -205,9 +212,10 @@ def _critical_candidates(theta):
     and Q = -x3 x2^2 + th1 x2 + 4 x3 - 2 th3 = 0.  Eliminating x2 yields a
     quintic in x3 with constant leading coefficient 4; the branches x_k = ±2,
     where the linear solve degenerates, are searched separately in every
-    coordinate slot.  Special-branch candidates come first: their double
-    roots are snapped exactly, and deduplication keeps the first member of
-    a cluster.
+    coordinate slot.  A degenerate critical point off those lines is a
+    multiple root of the quintic; its split roots are merged to their
+    centroid.  Special-branch candidates come first: their double roots are
+    snapped exactly, and deduplication keeps the first member of a cluster.
     """
     t1, t2, t3, _ = theta
     candidates = []
@@ -242,7 +250,62 @@ def _defect(x, theta):
     return max(float(np.max(np.abs(grad_f(x, theta)))), float(abs(eval_f(x, theta))))
 
 
-def _refine(x, theta, steps=40):
+_NEWTON_STEPS = 40
+
+
+def _conditioning(x1, x2, x3):
+    """Cofactors and determinant of the Hessian at x, and a lower bound on
+    sigma_min / sigma_max.
+
+    H = [[2, x3, x2], [x3, 2, x1], [x2, x1, 2]] is symmetric, so its
+    adjugate is its cofactor matrix.  |det H| = s1 s2 s3 <= s1^2 s3 and
+    s1 <= ||H||_F with ||H||_F^2 = 12 + 2 sum |x_i|^2, so the bound is
+    |det H| / ||H||_F^3.  It is formed from squares, which overflow to inf
+    (and the bound to nan) instead of raising.
+    """
+    c11 = 4 - x1 * x1
+    c22 = 4 - x2 * x2
+    c33 = 4 - x3 * x3
+    c12 = x1 * x2 - 2 * x3
+    c13 = x3 * x1 - 2 * x2
+    c23 = x2 * x3 - 2 * x1
+    det = 2 * c11 + x3 * c12 + x2 * c13
+    frob2 = 12 + 2 * sum(v.real * v.real + v.imag * v.imag for v in (x1, x2, x3))
+    bound2 = (det.real * det.real + det.imag * det.imag) / (frob2 * frob2 * frob2)
+    return (c11, c22, c33, c12, c13, c23), det, bound2**0.5
+
+
+def _newton_well_conditioned(x, theta):
+    """Newton on grad_f = 0 by the adjugate of the Hessian, in Python scalars.
+
+    While the conditioning bound exceeds 1e-6, lstsq's rcond=1e-9 cutoff in
+    _refine_gradient cannot truncate, so both solve the same linear system
+    with the same stopping rule.  Returns None when the bound falls to 1e-6
+    or below, a step is not finite, or _NEWTON_STEPS pass; the caller then
+    restarts the candidate on _refine_gradient, which keeps the rounding
+    that degenerate roots have always had.
+    """
+    x1, x2, x3 = (complex(v) for v in x)
+    t1, t2, t3 = (complex(v) for v in theta[:3])
+    for _ in range(_NEWTON_STEPS):
+        (c11, c22, c33, c12, c13, c23), det, bound = _conditioning(x1, x2, x3)
+        if not bound > 1e-6:
+            return None
+        g1 = x2 * x3 + 2 * x1 - t1
+        g2 = x3 * x1 + 2 * x2 - t2
+        g3 = x1 * x2 + 2 * x3 - t3
+        s1 = -(c11 * g1 + c12 * g2 + c13 * g3) / det
+        s2 = -(c12 * g1 + c22 * g2 + c23 * g3) / det
+        s3 = -(c13 * g1 + c23 * g2 + c33 * g3) / det
+        if not (cmath.isfinite(s1) and cmath.isfinite(s2) and cmath.isfinite(s3)):
+            return None
+        x1, x2, x3 = x1 + s1, x2 + s2, x3 + s3
+        if max(abs(s1), abs(s2), abs(s3)) < 1e-14 * max(1.0, abs(x1), abs(x2), abs(x3)):
+            return np.array([x1, x2, x3])
+    return None
+
+
+def _refine(x, theta):
     """Truncated Gauss-Newton on (grad_f, f).
 
     lstsq runs with a singular-value cutoff so that near a degenerate root
@@ -251,7 +314,7 @@ def _refine(x, theta, steps=40):
     and _kernel_polish repairs it afterwards.
     """
     x = x.copy()
-    for _ in range(steps):
+    for _ in range(_NEWTON_STEPS):
         g = grad_f(x, theta)
         fv = eval_f(x, theta)
         F = np.array([g[0], g[1], g[2], fv])
@@ -267,7 +330,7 @@ def _refine(x, theta, steps=40):
     return x
 
 
-def _refine_gradient(x, theta, steps=40):
+def _refine_gradient(x, theta):
     """Newton iteration on grad_f = 0 alone.
 
     Critical points of a generic surface do not lie on the surface, so the
@@ -275,21 +338,24 @@ def _refine_gradient(x, theta, steps=40):
     works for critical points regardless of the value of f.  The lstsq
     cutoff again freezes near-kernel directions at degenerate roots.
     """
-    x = x.copy()
-    for _ in range(steps):
-        g = grad_f(x, theta)
+    x1, x2, x3 = (complex(v) for v in x)
+    t1, t2, t3 = (complex(v) for v in theta[:3])
+    for _ in range(_NEWTON_STEPS):
+        g = np.array([x2 * x3 + 2 * x1 - t1, x3 * x1 + 2 * x2 - t2, x1 * x2 + 2 * x3 - t3])
         if not np.all(np.isfinite(g)):
             raise NoConvergenceError("refinement diverged")
-        step, *_ = np.linalg.lstsq(hessian_f(x), -g, rcond=1e-9)
+        H = np.array([[2, x3, x2], [x3, 2, x1], [x2, x1, 2]], dtype=complex)
+        step, *_ = np.linalg.lstsq(H, -g, rcond=1e-9)
         if not np.all(np.isfinite(step)):
             raise NoConvergenceError("refinement produced non-finite step")
-        x = x + step
-        if np.max(np.abs(step)) < 1e-14 * max(1.0, float(np.max(np.abs(x)))):
+        s1, s2, s3 = step.tolist()
+        x1, x2, x3 = x1 + s1, x2 + s2, x3 + s3
+        if max(abs(s1), abs(s2), abs(s3)) < 1e-14 * max(1.0, abs(x1), abs(x2), abs(x3)):
             break
-    return x
+    return np.array([x1, x2, x3])
 
 
-def _kernel_polish(x, theta, rounds=3):
+def _kernel_polish(x, theta):
     """Newton along the Hessian kernel line using the exact cubic Taylor.
 
     f is a cubic, so along x + s v the kernel component of the gradient is
@@ -301,7 +367,9 @@ def _kernel_polish(x, theta, rounds=3):
     coordinate of a degenerate critical point to machine accuracy, where
     residual-driven iterations stall near sqrt(eps).
     """
-    for _ in range(rounds):
+    for _ in range(3):
+        if _conditioning(*(complex(v) for v in x))[2] > 1e-5:
+            break  # proves sv[2] > 1e-5 sv[0] below, without the SVD
         H = hessian_f(x)
         _, sv, vh = np.linalg.svd(H)
         if sv[2] > 1e-5 * sv[0]:
@@ -353,14 +421,25 @@ def _local_type(x):
     raise NoConvergenceError("Hessian rank 0 is impossible for this family")
 
 
-def critical_points(theta):
-    """All solutions of grad_f = 0 (on or off the surface), deduplicated."""
+def critical_points(theta, counts=None):
+    """All solutions of grad_f = 0 (on or off the surface), deduplicated.
+
+    Each candidate is refined by the closed-form Newton iteration; one that
+    meets a badly conditioned Hessian restarts from its start point on
+    lstsq.  A dict passed as counts receives the number of candidates and
+    of those restarts.
+    """
     theta = _theta_array(theta)
     scale = max(1.0, float(np.max(np.abs(theta))))
+    candidates = _critical_candidates(theta)
+    restarts = 0
     accepted = []
-    for cand in _critical_candidates(theta):
+    for cand in candidates:
         try:
-            x = _refine_gradient(cand, theta)
+            x = _newton_well_conditioned(cand, theta)
+            if x is None:
+                restarts += 1
+                x = _refine_gradient(cand, theta)
             # a candidate that lands on the surface is a singular-surface
             # point; the joint iteration sharpens it using the consistent
             # f = 0 row as well
@@ -373,6 +452,8 @@ def critical_points(theta):
         if float(np.max(np.abs(grad_f(x, theta)))) > 1e-7 * xscale:
             continue
         accepted.append(x)
+    if counts is not None:
+        counts.update(candidates=len(candidates), restarts=restarts)
     return _merge_close(accepted, theta, 1e-6)
 
 
@@ -411,14 +492,20 @@ def singular_points(theta):
     """
     theta = _theta_array(theta)
     scale = max(1.0, float(np.max(np.abs(theta))))
+    counts = {}
     on_surface = [
-        x for x in critical_points(theta)
+        x for x in critical_points(theta, counts)
         if abs(eval_f(x, theta)) <= 1e-8 * scale * 10.0
     ]
     points = [
         SingularPoint(x, *_local_type(x))
         for x in _merge_close(on_surface, theta, 1e-4)
     ]
+    log.debug(
+        "singular_points: %d candidates, %d closed-form, %d lstsq restarts, %d kept",
+        counts["candidates"], counts["candidates"] - counts["restarts"],
+        counts["restarts"], len(points),
+    )
     if len(points) > 4 or sum(p.milnor for p in points) > 4:
         raise NoConvergenceError(
             "more singular structure than the family admits; refinement "

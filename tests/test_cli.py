@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -217,6 +218,16 @@ def test_rh_computes_the_monodromy_once(tmp_path, monkeypatch):
         _count_calls(monkeypatch, fuchsian, name, counts)
     assert cli.main(["rh", "--input", RH_INPUT, "--out", str(tmp_path / "rh.json")]) == 0
     assert counts == {"monodromy": 1, "apparent_check": 1}
+
+
+def test_main_logs_the_subcommand_and_its_exit_code(caplog, capsys):
+    caplog.set_level(logging.INFO, logger="pvi")
+    assert cli.main(["classify", "--input", "{}"]) == 1
+    assert cli.main(["classify", "--input", '{"kappa": [0,0,0,0,1]}']) == 0
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("pvi.cli", logging.INFO, "pvi classify: exit 1"),
+        ("pvi.cli", logging.INFO, "pvi classify: exit 0"),
+    ]
 
 
 def test_rh_right_hand_side_evaluations_stay_bounded(tmp_path, monkeypatch):

@@ -1,7 +1,12 @@
 """Tests for the affine cubic surface family and its singular geometry."""
 
+import cmath
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pvi import cubic, params
 
@@ -196,6 +201,115 @@ def test_singular_point_location_is_a_genuine_surface_point():
     theta = params.rh_param(k)
     assert abs(cubic.eval_f(node.x, theta)) < 1e-9
     assert np.max(np.abs(cubic.grad_f(node.x, theta))) < 1e-7
+
+
+def test_a2_point_off_the_special_lines_comes_from_the_quintic():
+    """(0, √2, √2) is an A2 point of theta = (2, 2√2, 2√2, 4) with no coordinate ±2."""
+    r2 = np.sqrt(2.0)
+    report = cubic.singular_points([2.0, 2 * r2, 2 * r2, 4.0])
+    assert [p.local_type for p in report.points] == ["A2"]
+    assert np.max(np.abs(report.points[0].x - np.array([0.0, r2, r2]))) < 1e-8
+
+
+def _count_linalg(monkeypatch):
+    counts = {"lstsq": 0, "svd": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def test_smooth_surface_solves_without_lstsq_or_svd(monkeypatch):
+    """A count-based cost gate: well-conditioned roots take the closed-form step."""
+    counts = _count_linalg(monkeypatch)
+    theta = params.rh_param(params.Exponents.from_free(0.3, -0.2, 0.45, 0.15))
+    assert not cubic.singular_points(theta)
+    assert counts == {"lstsq": 0, "svd": 0}
+    report = cubic.singular_points([8.0, 8.0, 8.0, 28.0])
+    assert [p.local_type for p in report.points] == ["D4"]
+    assert np.max(np.abs(report.points[0].x - np.array([2.0, 2.0, 2.0]))) < 1e-8
+
+
+# kappa = (k0, ..., k4) of one representative per stratum, as in test_cli.
+STRATA = (
+    (5 / 32, 1 / 4, 1 / 4, 1 / 8, 1 / 16),
+    (0, 7 / 20, 1 / 10, 3 / 20, 2 / 5),
+    (5 / 32, 0, 1 / 4, 1 / 8, 5 / 16),
+    (5 / 16, 0, 0, 1 / 8, 1 / 4),
+    (7 / 16, 0, 0, 0, 1 / 8),
+    (1 / 2, 0, 0, 0, 0),
+    (0, 0, 1 / 4, 1 / 4, 1 / 2),
+    (0, 0, 0, 1 / 2, 1 / 2),
+    (0, 0, 0, 0, 1),
+)
+
+
+def _equivalence_thetas():
+    """Strata with leg permutations and sign flips, generic kappa, and kappa
+    1e-8 to 1e-2 off the wall k1 = 0 along a real or an imaginary offset."""
+    rng = np.random.default_rng(17)
+    frees = []
+    for kappa in STRATA:
+        frees.append(kappa[1:])
+        for _ in range(2):
+            frees.append([kappa[1 + i] * rng.choice((-1, 1)) for i in rng.permutation(4)])
+    frees += [rng.uniform(-0.9, 0.9, 4) for _ in range(10)]
+    for i, offset in enumerate(np.logspace(-8, -2, 10)):
+        free = rng.uniform(-0.9, 0.9, 4).astype(complex)
+        free[0] = offset * (1j if i % 2 else 1)
+        frees.append(free)
+    return [params.rh_param(params.Exponents.from_free(*free)) for free in frees]
+
+
+def test_closed_form_newton_finds_the_lstsq_points(monkeypatch):
+    """The closed-form iteration moves no singular point beyond rounding."""
+    thetas = _equivalence_thetas()
+    fast = [cubic.singular_points(theta).points for theta in thetas]
+    monkeypatch.setattr(cubic, "_newton_well_conditioned", lambda x, theta: None)
+    for theta, got in zip(thetas, fast):
+        want = cubic.singular_points(theta).points
+        assert [p.local_type for p in got] == [p.local_type for p in want]
+        for p, q in zip(got, want):
+            assert np.max(np.abs(p.x - q.x)) <= 1e-12 * max(1.0, float(np.max(np.abs(q.x))))
+
+
+ENTRY = st.complex_numbers(max_magnitude=3.0)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(x1=ENTRY, x2=ENTRY, sign=st.sampled_from((1, -1)), exponent=st.floats(-7, 0),
+       phase=st.floats(0, 2 * np.pi), g=st.lists(ENTRY, min_size=3, max_size=3))
+def test_adjugate_step_is_the_lstsq_step(x1, x2, sign, exponent, phase, g):
+    """Above the conditioning bound 1e-6 the cofactor solve is lstsq's solve.
+
+    x3 sits 10^exponent from a root of det H = 8 - 2 sum x_i^2 + 2 x1 x2 x3,
+    so the bound ranges from the cutoff to order one.
+    """
+    b = x1 * x2
+    x3 = (b + sign * cmath.sqrt(b * b + 16 - 4 * x1 * x1 - 4 * x2 * x2)) / 2
+    x3 += 10**exponent * cmath.exp(1j * phase)
+    (c11, c22, c33, c12, c13, c23), det, bound = cubic._conditioning(x1, x2, x3)
+    assume(bound > 1e-6)
+    H = cubic.hessian_f([x1, x2, x3])
+    sv = np.linalg.svd(H, compute_uv=False)
+    assert bound <= sv[2] / sv[0]
+    adj = np.array([[c11, c12, c13], [c12, c22, c23], [c13, c23, c33]])
+    want, *_ = np.linalg.lstsq(H, np.array(g), rcond=1e-9)
+    got = adj @ np.array(g) / det
+    assert np.max(np.abs(got - want)) <= 1e-10 * float(np.max(np.abs(want)))
+
+
+def test_singular_points_logs_its_solve_counts(caplog):
+    caplog.set_level(logging.DEBUG, logger="pvi.cubic")
+    cubic.singular_points([8.0, 8.0, 8.0, 28.0])
+    (record,) = caplog.records
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage().endswith("lstsq restarts, 1 kept")
 
 
 def test_theta_validation():

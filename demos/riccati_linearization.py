@@ -4,7 +4,7 @@ The Riccati locus and its hypergeometric-type linearization
 
 On the wall kappa0 = 0 the plane p = 0 is invariant under the flow and
 the q-equation closes as a Riccati equation, so the whole dynamics
-linearizes through a second-order scalar equation.  The monodromy image
+linearizes through a first-order linear system.  The monodromy image
 of the locus is pinned at a singular point of the cubic surface.
 """
 
@@ -31,8 +31,9 @@ print("Riccati coefficients (a_i, b_i, c_i) per pole direction:")
 for i, (ai, bi, ci) in enumerate(report.coefficients):
     print(f"  t{i + 1}: a = {ai:.6f}, b = {bi:.6f}, c = {ci:.6f}")
 
-# Substituting q = -Y'/(a Y) turns the Riccati equation into a linear
-# second-order equation; the deviation tracks both integrations.
+# q = y1/y2 turns the Riccati equation into the linear system
+# (y1, y2)' = [[b, c], [-a, 0]] (y1, y2); y2 is the Y of the second-order
+# form q = -Y'/(a Y).  The deviation tracks both integrations.
 print("linearization deviation |q + Y'/(a Y)| ="
       f" {report.max_linearization_deviation:.3g}")
 

@@ -11,6 +11,7 @@ each call's subcommand and exit code on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -38,20 +39,20 @@ def _load_input(spec):
     return data
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _output(path):
+    """stdout for no path or "-", else the file at path, closed on exit."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
 
 
 def _emit(args, payload):
-    fh, owned = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    finally:
-        if owned:
-            fh.close()
 
 
 def cmd_classify(args):
@@ -59,10 +60,10 @@ def cmd_classify(args):
     data = _load_input(args.input)
     if "kappa" in data or "kappa_free" in data:
         kappa = serialize.decode_exponents(data)
+        label = params.classify_stratum(kappa)
         lift = serialize.encode_complex(
             cubic.discriminant_lift(params.kappa_to_a(kappa))
         )
-        label = params.classify_stratum(kappa)
     elif "theta" in data:
         theta = serialize.decode_complex_seq(data["theta"], 4)
         lift = None
@@ -112,16 +113,10 @@ def cmd_orbit(args):
     n = data.get("n", 0)
     if type(n) is not int:
         raise ValueError(f"n must be an integer, got {n!r}")
-    if args.max_steps is not None:
-        n = min(n, args.max_steps)
     tol = args.tol if args.tol is not None else 1e-8
     samples = modular.orbit(point, word, n)
-    fh, owned = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         serialize.write_orbit_csv(fh, samples)
-    finally:
-        if owned:
-            fh.close()
     f_values = [
         cubic.eval_f(s.point.x, s.point.theta) for s in samples
     ]
@@ -145,12 +140,8 @@ def cmd_flow(args):
         for s in traj.samples
     )
     residuals = flow.pvi_residual(traj) if in_chart else None
-    fh, owned = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         serialize.write_trajectory_csv(fh, traj, residuals)
-    finally:
-        if owned:
-            fh.close()
     if residuals is not None and residuals.max() > tol:
         return 1
     return 0
@@ -164,13 +155,13 @@ def cmd_monodromy(args):
     ret = flow.nonlinear_monodromy(pt, braid)
     start = fuchsian.rh_point(pt)
     end = fuchsian.rh_point(ret)
-    word = modular.braid_to_modular(braid, orientation=args.orientation)
+    word = modular.braid_to_modular(braid)
     predicted = modular.apply_word(
         word, modular.AmbientPoint.make(start.x, start.theta)
     )
     deviation = float(np.max(np.abs(end.x - predicted.x)))
     payload = {
-        "orientation": args.orientation,
+        "orientation": "fwd",
         "x_start": serialize.encode_complex_seq(start.x),
         "x_return": serialize.encode_complex_seq(end.x),
         "x_modular": serialize.encode_complex_seq(predicted.x),
@@ -287,20 +278,15 @@ def build_parser():
         "--out": {"help": "output path (default stdout)"},
         "--tol": {"type": float, "help": "check tolerance"},
         "--seed": {"type": int, "default": 0, "help": "seed of the randomized batteries"},
-        "--max-steps": {"type": int, "help": "cap on the iteration count n"},
-        "--orientation": {"choices": ("fwd", "inv"), "default": "fwd",
-                          "help": "braid-to-modular convention"},
     }
     io = ("--input", "--out", "--tol")
     specs = {
         "classify": (cmd_classify, "wall status and surface singularities",
                      ("--input", "--out")),
         "rh": (cmd_rh, "monodromy coordinates of a phase point", io),
-        "orbit": (cmd_orbit, "iterate a modular-group word, CSV output",
-                  io + ("--max-steps",)),
+        "orbit": (cmd_orbit, "iterate a modular-group word, CSV output", io),
         "flow": (cmd_flow, "integrate the Hamiltonian flow, CSV output", io),
-        "monodromy": (cmd_monodromy, "compare a braid loop with its modular action",
-                      io + ("--orientation",)),
+        "monodromy": (cmd_monodromy, "compare a braid loop with its modular action", io),
         "backlund": (cmd_backlund, "apply a transformation word", io),
         "selftest": (cmd_selftest, "run a quick deterministic battery", ("--seed",)),
     }

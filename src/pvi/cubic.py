@@ -305,38 +305,15 @@ def _newton_well_conditioned(x, theta):
     return None
 
 
-def _refine(x, theta):
-    """Truncated Gauss-Newton on (grad_f, f).
-
-    lstsq runs with a singular-value cutoff so that near a degenerate root
-    the kernel direction receives no noise-amplified update; the kernel
-    component of the error is whatever the candidate generator achieved,
-    and _kernel_polish repairs it afterwards.
-    """
-    x = x.copy()
-    for _ in range(_NEWTON_STEPS):
-        g = grad_f(x, theta)
-        fv = eval_f(x, theta)
-        F = np.array([g[0], g[1], g[2], fv])
-        if not np.all(np.isfinite(F)):
-            raise NoConvergenceError("refinement diverged")
-        J = np.vstack([hessian_f(x), g[None, :]])
-        step, *_ = np.linalg.lstsq(J, -F, rcond=1e-9)
-        if not np.all(np.isfinite(step)):
-            raise NoConvergenceError("refinement produced non-finite step")
-        x = x + step
-        if np.max(np.abs(step)) < 1e-14 * max(1.0, float(np.max(np.abs(x)))):
-            break
-    return x
-
-
 def _refine_gradient(x, theta):
-    """Newton iteration on grad_f = 0 alone.
+    """Newton iteration on grad_f = 0 by lstsq.
 
-    Critical points of a generic surface do not lie on the surface, so the
-    on-surface row used by _refine would be inconsistent there; this variant
-    works for critical points regardless of the value of f.  The lstsq
-    cutoff again freezes near-kernel directions at degenerate roots.
+    Critical points of a generic surface do not lie on the surface, so f
+    itself is no equation here.  lstsq runs with a singular-value cutoff so
+    that near a degenerate root the kernel direction receives no
+    noise-amplified update; the kernel component of the error is whatever
+    the candidate generator achieved, and _kernel_polish repairs it
+    afterwards.
     """
     x1, x2, x3 = (complex(v) for v in x)
     t1, t2, t3 = (complex(v) for v in theta[:3])
@@ -435,18 +412,13 @@ def critical_points(theta, counts=None):
     restarts = 0
     accepted = []
     for cand in candidates:
-        try:
-            x = _newton_well_conditioned(cand, theta)
-            if x is None:
-                restarts += 1
+        x = _newton_well_conditioned(cand, theta)
+        if x is None:
+            restarts += 1
+            try:
                 x = _refine_gradient(cand, theta)
-            # a candidate that lands on the surface is a singular-surface
-            # point; the joint iteration sharpens it using the consistent
-            # f = 0 row as well
-            if abs(eval_f(x, theta)) < 1e-6 * max(scale, float(np.max(np.abs(x))) ** 3):
-                x = _refine(x, theta)
-        except NoConvergenceError:
-            continue  # spurious candidate ran away; legitimate roots remain
+            except NoConvergenceError:
+                continue  # spurious candidate ran away; legitimate roots remain
         x = _kernel_polish(x, theta)
         xscale = max(1.0, float(np.max(np.abs(x))) ** 2, scale)
         if float(np.max(np.abs(grad_f(x, theta)))) > 1e-7 * xscale:
@@ -477,13 +449,22 @@ def _merge_close(points, theta, radius):
     return [x for x, _ in kept]
 
 
+#: singular_points refuses a theta with a component of larger modulus.  In
+#: a scan of 300 directions (kappa on an A1, 2A1 or 3A1 wall with growing
+#: imaginary parts on the other components) the first wrong stratum came
+#: at |theta| = 1.7e8; the bound keeps a margin of 170 below that.
+_THETA_BOUND = 1e6
+
+
 def singular_points(theta):
     """Singular points of S(theta) with local ADE data.
 
-    Critical points of f (elimination plus Gauss-Newton polishing) with
-    |f| <= 1e-7 max(1, max|theta_i|) lie on the surface; they are merged
-    once at distance 1e-4, as stalled endpoints of one degenerate root can
-    sit ~eps^(1/3) apart, and typed.  More than 4 points or a total Milnor
+    theta must satisfy max|theta_i| <= _THETA_BOUND = 1e6; a larger (or
+    non-finite) theta raises ValueError.  Critical points of f (elimination
+    plus one Newton pass on grad_f = 0 per root) with |f| <= 1e-7 max(1,
+    max|theta_i|) lie on the surface; they are merged once at distance
+    1e-4, as stalled endpoints of one degenerate root can sit ~eps^(1/3)
+    apart, and typed.  More than 4 points or a total Milnor
     number above 4 raises NoConvergenceError.  The |f| band is wider than
     rounding: the critical value vanishes to second order in the distance
     of kappa from a wall, so a point is still reported a few 1e-3 from one
@@ -491,7 +472,14 @@ def singular_points(theta):
     one), where params.on_wall is False.
     """
     theta = _theta_array(theta)
-    scale = max(1.0, float(np.max(np.abs(theta))))
+    size = float(np.max(np.abs(theta)))
+    if not size <= _THETA_BOUND:
+        raise ValueError(
+            f"theta ({', '.join(f'{complex(z):.3g}' for z in theta)}) is out "
+            f"of range: singular points are computed for max|theta_i| <= "
+            f"{_THETA_BOUND:.0e}"
+        )
+    scale = max(1.0, size)
     counts = {}
     on_surface = [
         x for x in critical_points(theta, counts)

@@ -5,7 +5,8 @@ along a path, with one Hamiltonian per pole position.  This module
 integrates that system along polyline time paths, realizes pure braids as
 concrete closed loops (the nonlinear monodromy), evaluates the scalar
 second-order residual in the (0, 1, x) chart, and handles the Riccati
-invariant locus together with its second-order linearization.
+invariant locus together with its linearization as a first-order linear
+system.
 """
 
 from __future__ import annotations
@@ -418,7 +419,8 @@ class RiccatiReport:
     at p = 0 and that quadratic (zero up to roundoff certifies the
     first-order equation is genuinely Riccati); max_p tracks the locus
     invariance and max_linearization_deviation the agreement of q with
-    -Y'/(aY) for the co-integrated second-order linearization.
+    y1/y2 for the co-integrated linear system of riccati_flow.  y2 is the
+    Y of the second-order form, so y1/y2 = -Y'/(AY).
     """
 
     coefficients: tuple
@@ -428,26 +430,9 @@ class RiccatiReport:
 
 
 def _riccati_abc(t, v, kappa):
-    """Path coefficients A, B, C and dA/ds for direction v at triple t."""
+    """Path coefficients A, B, C of dq/ds = A q^2 + B q + C along direction v."""
     coeffs = riccati_coefficients(t, kappa)
-    a = sum(coeffs[i][0] * v[i] for i in range(3))
-    b = sum(coeffs[i][1] * v[i] for i in range(3))
-    c = sum(coeffs[i][2] * v[i] for i in range(3))
-    kk = (kappa.k1, kappa.k2, kappa.k3)
-    aprime = 0.0 + 0.0j
-    for i0 in range(3):
-        if v[i0] == 0.0:
-            continue
-        j0, k0 = (i0 + 1) % 3, (i0 + 2) % 3
-        tij = t[i0] - t[j0]
-        tik = t[i0] - t[k0]
-        vij = v[i0] - v[j0]
-        vik = v[i0] - v[k0]
-        di = tij * tik
-        diprime = vij * tik + tij * vik
-        w2 = (kk[i0] - 1.0) + kk[j0] + kk[k0]
-        aprime += w2 * v[i0] * diprime / (di * di)
-    return a, b, c, aprime
+    return tuple(sum(coeffs[i][n] * v[i] for i in range(3)) for n in range(3))
 
 
 def riccati_flow(pt, path):
@@ -457,8 +442,10 @@ def riccati_flow(pt, path):
     Hamiltonian system, so max_p in the report measures genuine locus
     invariance.  Alongside it, each straight segment co-integrates the
     reduced Riccati equation q' = A q^2 + B q + C together with the linear
-    second-order equation A Y'' - (A' + A B) Y' + A^2 C Y = 0 and records
-    the worst deviation |q - (-Y'/(A Y))|.
+    system (y1, y2)' = [[B, C], [-A, 0]] (y1, y2), started at (q, 1), and
+    records the worst deviation |q - y1/y2|.  Any solution of the linear
+    system gives a Riccati solution y1/y2, with no condition on A; y2 is
+    the Y of the second-order form, where q = -Y'/(A Y).
     """
     if abs(pt.kappa.k0) > 1e-12:
         raise NotOnRiccatiLocusError("kappa0 must vanish on the Riccati locus")
@@ -487,34 +474,24 @@ def riccati_flow(pt, path):
     dev = 0.0
     q = pt.q
     for a_v, v, cap in _moving_segments(path):
-        a0, _, _, _ = _riccati_abc(a_v, v, pt.kappa)
-        if abs(a0) < 1e-12:
-            raise NotOnRiccatiLocusError(
-                "quadratic coefficient vanishes; linearization undefined"
-            )
-        y = np.array([q, 1.0, -a0 * q], dtype=complex)
+        y = np.array([q, q, 1.0], dtype=complex)
 
         def rhs(s, state, a_v=a_v, v=v):
-            t_s = a_v + s * v
-            aa, bb, cc, ap = _riccati_abc(t_s, v, pt.kappa)
-            qq, yy, yp = state
+            aa, bb, cc = _riccati_abc(a_v + s * v, v, pt.kappa)
+            qq, y1, y2 = state
             return np.array([
                 aa * qq * qq + bb * qq + cc,
-                yp,
-                ((ap + aa * bb) * yp - aa * aa * cc * yy) / aa,
+                bb * y1 + cc * y2,
+                -aa * y1,
             ])
 
-        track = {"dev": 0.0}
-
-        def watch(s, state, h, err, a_v=a_v, v=v, track=track):
-            t_s = a_v + s * v
-            aa, _, _, _ = _riccati_abc(t_s, v, pt.kappa)
-            qq, yy, yp = state
-            if abs(aa * yy) > 1e-300:
-                track["dev"] = max(track["dev"], abs(qq + yp / (aa * yy)))
+        def watch(s, state, h, err):
+            nonlocal dev
+            qq, y1, y2 = state
+            if abs(y2) > 1e-300:
+                dev = max(dev, abs(qq - y1 / y2))
 
         y = rk.adaptive_rk(rhs, y, 0.0, 1.0, max_step=cap, on_accept=watch)
-        dev = max(dev, track["dev"])
         q = y[0]
 
     report = RiccatiReport(

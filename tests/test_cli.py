@@ -141,16 +141,6 @@ def test_monodromy_forward_orientation_passes(tmp_path):
     assert payload["deviation"] < 1e-4
 
 
-def test_monodromy_inverse_orientation_fails(tmp_path):
-    out = tmp_path / "mono_inv.json"
-    code = cli.main(
-        ["monodromy", "--orientation", "inv", "--input", MONODROMY_INPUT, "--out", str(out)]
-    )
-    assert code == 1
-    payload = json.loads(out.read_text())
-    assert payload["deviation"] > 1e-4
-
-
 def test_backlund_word_preserves_rh_parameters(capsys):
     spec = (
         '{"point": {"q": [0.4,0.3], "p": [0.2,-0.5], "t": [0,1,2], '
@@ -299,12 +289,34 @@ def test_missing_input_option_is_one_error_line(command, capsys):
         ["classify", "--max-steps", "3", "--input", "{}"],
         ["classify", "--tol", "1e-6", "--input", "{}"],
         ["flow", "--orientation", "inv", "--input", "{}"],
+        ["orbit", "--max-steps", "3", "--input", "{}"],
+        ["monodromy", "--orientation", "inv", "--input", "{}"],
     ],
 )
 def test_subcommand_rejects_an_option_it_does_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"theta": [1e104, 1e104, 1e104, 1e104]}',
+        '{"kappa_free": [[0.1, 80], 0.2, 0.3, 0.1]}',
+        '{"theta": [1e200, 1e200, 1e200, 1e200]}',
+        '{"theta": [1e100, 0, 0, 0]}',
+    ],
+    ids=["theta-1e104", "kappa-imag-80", "theta-1e200", "theta1-1e100"],
+)
+def test_classify_refuses_a_theta_out_of_range(spec, capsys):
+    """Too large a theta is one error line naming it, with no warning on the way."""
+    assert cli.main(["classify", "--input", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: theta (")
+    assert "out of range" in err and "Warning" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def _classify(spec, capsys):

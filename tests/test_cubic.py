@@ -317,3 +317,10 @@ def test_theta_validation():
         cubic.eval_f([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         cubic.eval_f([1.0, 2.0], [1.0, 2.0, 3.0, 4.0])
+
+
+def test_singular_points_refuses_theta_beyond_the_bound():
+    assert not cubic.singular_points([1e6, 0.0, 0.0, 0.0])
+    for theta in ([1.01e6, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1e6j + 1e5], [np.nan, 0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match=r"theta \(.*\) is out of range"):
+            cubic.singular_points(theta)

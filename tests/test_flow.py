@@ -288,6 +288,16 @@ class TestRiccati:
         _, report = flow.riccati_flow(self.start, self.path)
         assert report.max_linearization_deviation < 1e-6
 
+    def test_linearization_needs_no_quadratic_coefficient(self):
+        """k4 = 0 makes A vanish: q' is linear, and so is the linearization."""
+        kappa = params.Exponents(0.0, 0.3, 0.45, 0.25, 0.0)
+        start = fuchsian.PhasePoint.make(0.4 + 0.3j, 0.0, (0.0, 1.0, 2.0), kappa)
+        path = flow.TimePath.make([(0, 1, 2), (0, 1, 2.4 + 0.3j)])
+        _, report = flow.riccati_flow(start, path)
+        assert all(abs(a) <= 1e-15 for a, _, _ in report.coefficients)
+        assert report.max_linearization_deviation <= 1e-12
+        assert report.max_p <= 1e-8
+
     def test_endpoint_maps_to_singular_locus(self):
         """Riccati solutions sit over singular points of their cubic surface."""
         traj, _ = flow.riccati_flow(self.start, self.path)

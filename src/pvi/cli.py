@@ -135,11 +135,7 @@ def cmd_flow(args):
     )
     tol = args.tol if args.tol is not None else 1e-6
     traj = flow.integrate(pt, path)
-    in_chart = all(
-        abs(s.t[0]) <= 1e-9 and abs(s.t[1] - 1.0) <= 1e-9
-        for s in traj.samples
-    )
-    residuals = flow.pvi_residual(traj) if in_chart else None
+    residuals = flow.pvi_residual(traj) if traj.in_chart() else None
     with _output(args.out) as fh:
         serialize.write_trajectory_csv(fh, traj, residuals)
     if residuals is not None and residuals.max() > tol:

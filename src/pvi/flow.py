@@ -11,6 +11,7 @@ system.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from dataclasses import dataclass
@@ -129,10 +130,73 @@ class Trajectory:
         s = self.samples[-1]
         return fuchsian.PhasePoint.make(s.q, s.p, s.t, self.kappa)
 
+    @functools.cached_property
+    def columns(self):
+        """(arclength, t, q, p) over the samples as arrays; t has shape (n, 3)."""
+        samples = self.samples
+        return (
+            np.array([s.arclength for s in samples], dtype=float),
+            np.array([s.t for s in samples], dtype=complex).reshape(-1, 3),
+            np.array([s.q for s in samples], dtype=complex),
+            np.array([s.p for s in samples], dtype=complex),
+        )
+
+    def in_chart(self):
+        """Whether every sample has t1 = 0 and t2 = 1, the chart of pvi_residual."""
+        t = self.columns[1]
+        return bool(
+            np.all(np.abs(t[:, 0]) <= 1e-9) and np.all(np.abs(t[:, 1] - 1.0) <= 1e-9)
+        )
+
+
+def _numpy_quotients(x, y, d):
+    """(x / d, y / d) for Python complex scalars, rounded as numpy rounds them.
+
+    CPython's complex division is another algorithm than numpy's, and the
+    two differ in the last bit of about 43% of quotients; one bit in the
+    field moves the step sequence of an integration.  This is the Smith
+    division of numpy's complex128 scalars, with the ratio and the scale
+    of d shared by both numerators.  A zero or nan d, which no valid time
+    path produces but an underflowed product can, goes to numpy itself
+    and gives its inf or nan, without a warning.
+    """
+    dr, di = d.real, d.imag
+    try:
+        if abs(dr) >= abs(di):
+            rat = di / dr
+            scl = 1.0 / (dr + di * rat)
+            return (
+                complex((x.real + x.imag * rat) * scl, (x.imag - x.real * rat) * scl),
+                complex((y.real + y.imag * rat) * scl, (y.imag - y.real * rat) * scl),
+            )
+        rat = dr / di
+        scl = 1.0 / (di + dr * rat)
+        return (
+            complex((x.real * rat + x.imag) * scl, (x.imag * rat - x.real) * scl),
+            complex((y.real * rat + y.imag) * scl, (y.imag * rat - y.real) * scl),
+        )
+    except ZeroDivisionError:
+        with np.errstate(all="ignore"):
+            d = np.complex128(d)
+            return complex(np.complex128(x) / d), complex(np.complex128(y) / d)
+
+
+def _field_constants(kappa):
+    """(kk, b) of _field as Python complex: (k1, k2, k3) and k0 (k0 + k4)."""
+    k0, k1, k2, k3, k4 = (
+        complex(z) for z in (kappa.k0, kappa.k1, kappa.k2, kappa.k3, kappa.k4)
+    )
+    return (k1, k2, k3), k0 * (k0 + k4)
+
 
 def _field(q, p, t, kk, b, dt):
-    """Contraction of the Hamiltonian vector field with a t-direction dt."""
-    qs = q - t
+    """Contraction of the Hamiltonian vector field with a t-direction dt.
+
+    Every argument is a Python complex scalar or a sequence of three; the
+    result equals, bit for bit, the same formula on numpy complex128
+    values, overflow giving inf or nan and no warning.
+    """
+    qs = (q - t[0], q - t[1], q - t[2])
     u = qs[0] * qs[1] * qs[2]
     uq = qs[1] * qs[2] + qs[2] * qs[0] + qs[0] * qs[1]
     dq = 0.0 + 0.0j
@@ -152,8 +216,11 @@ def _field(q, p, t, kk, b, dt):
             + kk[j0] * (qs[k0] + qs[i0])
             + kk[k0] * (qs[i0] + qs[j0])
         )
-        dq += dt[i0] * (2.0 * u * p - wi) / di
-        dp -= dt[i0] * (uq * p * p - wiq * p + b) / di
+        fq, fp = _numpy_quotients(
+            dt[i0] * (2.0 * u * p - wi), dt[i0] * (uq * p * p - wiq * p + b), di
+        )
+        dq += fq
+        dp -= fp
     return dq, dp
 
 
@@ -166,10 +233,8 @@ def vector_field(pt, dt):
     dt = np.asarray(dt, dtype=complex)
     if dt.shape != (3,):
         raise ValueError("dt must be a complex triple")
-    k = pt.kappa
-    kk = (k.k1, k.k2, k.k3)
-    b = k.k0 * (k.k0 + k.k4)
-    return _field(pt.q, pt.p, pt.t, kk, b, dt)
+    kk, b = _field_constants(pt.kappa)
+    return _field(complex(pt.q), complex(pt.p), pt.t.tolist(), kk, b, dt.tolist())
 
 
 def _coerce_path(path):
@@ -179,21 +244,27 @@ def _coerce_path(path):
 
 
 def _moving_segments(path):
-    """(a, v, cap) for each segment t = a + s v, 0 <= s <= 1, that moves.
+    """(v, at, cap) for each segment t = a + s v, 0 <= s <= 1, that moves.
 
-    cap(s, state) is the step cap of adaptive_rk in s: 0.05 times the
-    minimal pole gap at t(s), over the largest component of v.
+    v is a list of Python complex scalars and at(s) the triple t(s) of
+    them.  cap(s, state) is the step cap of adaptive_rk in s: 0.05 times
+    the minimal pole gap at t(s), over the largest component of v.
     """
     for a, b in path.segments():
-        v = b - a
+        v = (b - a).tolist()
         vmax = max(abs(z) for z in v)
         if vmax == 0.0:
             continue
+        a0, a1, a2 = a.tolist()
+        v0, v1, v2 = v
 
-        def cap(s, state, a=a, v=v, vmax=vmax):
-            return max(1e-12, 0.05 * fuchsian._min_gap(a + s * v) / vmax)
+        def at(s, a0=a0, a1=a1, a2=a2, v0=v0, v1=v1, v2=v2):
+            return (a0 + s * v0, a1 + s * v1, a2 + s * v2)
 
-        yield a, v, cap
+        def cap(s, state, at=at, vmax=vmax):
+            return max(1e-12, 0.05 * fuchsian._min_gap(at(s)) / vmax)
+
+        yield v, at, cap
 
 
 def integrate(pt, path):
@@ -210,26 +281,26 @@ def integrate(pt, path):
     if max(abs(pt.t[i] - t0[i]) for i in range(3)) > 1e-9 * scale:
         raise ValueError("path must start at the phase point's pole triple")
     clearance = _BLOWUP_CLEARANCE * scale
-    k = pt.kappa
-    kk = (k.k1, k.k2, k.k3)
-    b = k.k0 * (k.k0 + k.k4)
+    kk, b = _field_constants(pt.kappa)
 
     samples = [FlowSample(0.0, pt.t.copy(), pt.q, pt.p)]
     y = np.array([pt.q, pt.p], dtype=complex)
     arc_base = 0.0
-    for a, v, cap in _moving_segments(path):
+    n_segments = 0
+    for v, at, cap in _moving_segments(path):
         vnorm = float(np.linalg.norm(v))
+        n_segments += 1
 
-        def rhs(s, state, a=a, v=v):
-            t_s = a + s * v
-            dq, dp = _field(state[0], state[1], t_s, kk, b, v)
-            return np.array([dq, dp])
+        def rhs(s, state, at=at, v=v):
+            q_s, p_s = state.tolist()
+            return _field(q_s, p_s, at(s), kk, b, v)
 
-        def record(s, state, h, err, a=a, v=v, vnorm=vnorm):
-            t_s = a + s * v
-            q_s, p_s = state
+        def record(s, state, h, err, at=at, vnorm=vnorm):
+            ta, tb, tc = t_s = at(s)
+            q_s, p_s = state.tolist()
             arc = arc_base + s * vnorm
-            pole_dist = min(abs(q_s - t_s[i]) for i in range(3))
+            pole_dist = min(abs(q_s - ta), abs(q_s - tb), abs(q_s - tc))
+            t_s = np.array(t_s)
             if pole_dist < clearance:
                 raise BlowUpError(
                     f"blow-up near pole: |q - t_i| = {pole_dist:.3e} "
@@ -246,7 +317,13 @@ def integrate(pt, path):
 
         y = rk.adaptive_rk(rhs, y, 0.0, 1.0, max_step=cap, on_accept=record)
         arc_base += vnorm
-    return Trajectory(kappa=pt.kappa, samples=tuple(samples))
+    traj = Trajectory(kappa=pt.kappa, samples=tuple(samples))
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "flow.integrate: %d moving segments, %d accepted samples, max |q| %.6g",
+            n_segments, len(samples) - 1, float(np.max(np.abs(traj.columns[2]))),
+        )
+    return traj
 
 
 def braid_loop_path(t, braid):
@@ -359,26 +436,18 @@ def pvi_residual(traj):
     sampled quantity is ever divided by a vanishing step, so the oracle is
     free of differencing noise.
     """
+    if not traj.in_chart():
+        raise ValueError("trajectory is not in the (0, 1, x) chart")
     kappa = traj.kappa
-    res = np.zeros(len(traj.samples))
-    prev = None
-    for n, smp in enumerate(traj.samples):
-        if abs(smp.t[0]) > 1e-9 or abs(smp.t[1] - 1.0) > 1e-9:
-            raise ValueError("trajectory is not in the (0, 1, x) chart")
-        x = smp.t[2]
-        f, _, chain = _chart_derivatives(smp.q, smp.p, x, kappa)
-        res[n] = abs(chain - _pvi_rhs(smp.q, f, x, kappa))
-        if prev is not None:
-            x0, q0, f0, c0 = prev
-            h = x - x0
-            if abs(h) > 1e-13:
-                defect = (
-                    smp.q - q0
-                    - 0.5 * h * (f0 + f)
-                    + h * h / 12.0 * (chain - c0)
-                )
-                res[n] += abs(defect) / abs(h)
-        prev = (x, smp.q, f, chain)
+    _, t, q, p = traj.columns
+    x = t[:, 2]
+    f, _, chain = _chart_derivatives(q, p, x, kappa)
+    res = np.abs(chain - _pvi_rhs(q, f, x, kappa))
+    h = np.diff(x)
+    defect = np.diff(q) - 0.5 * h * (f[:-1] + f[1:]) + h * h / 12.0 * np.diff(chain)
+    step = np.abs(h)
+    moved = step > 1e-13
+    res[1:][moved] += np.abs(defect[moved]) / step[moved]
     return res
 
 
@@ -456,28 +525,27 @@ def riccati_flow(pt, path):
     max_p = max(abs(s.p) for s in traj.samples)
 
     coeffs = riccati_coefficients(pt.t, pt.kappa)
-    k = pt.kappa
-    kk = (k.k1, k.k2, k.k3)
-    b0 = k.k0 * (k.k0 + k.k4)
+    kk, b0 = _field_constants(pt.kappa)
+    t = pt.t.tolist()
     probes = (0.3 + 0.7j, -1.2 + 0.4j, 2.1 - 0.9j, 0.8 + 1.6j)
     quadratic_defect = 0.0
     for i0 in range(3):
-        unit = np.zeros(3, dtype=complex)
-        unit[i0] = 1.0
+        unit = [0j, 0j, 0j]
+        unit[i0] = 1 + 0j
         ai, bi, ci = coeffs[i0]
         for z in probes:
-            dq, _ = _field(z, 0.0 + 0.0j, pt.t, kk, b0, unit)
+            dq, _ = _field(z, 0.0 + 0.0j, t, kk, b0, unit)
             quadratic_defect = max(
                 quadratic_defect, abs(dq - (ai * z * z + bi * z + ci))
             )
 
     dev = 0.0
     q = pt.q
-    for a_v, v, cap in _moving_segments(path):
+    for v, at, cap in _moving_segments(path):
         y = np.array([q, q, 1.0], dtype=complex)
 
-        def rhs(s, state, a_v=a_v, v=v):
-            aa, bb, cc = _riccati_abc(a_v + s * v, v, pt.kappa)
+        def rhs(s, state, at=at, v=v):
+            aa, bb, cc = _riccati_abc(at(s), v, pt.kappa)
             qq, y1, y2 = state
             return np.array([
                 aa * qq * qq + bb * qq + cc,

@@ -37,9 +37,14 @@ class PoleClearanceError(ValueError):
 
 
 def _min_gap(points):
-    """Smallest pairwise distance between the points; inf for fewer than two."""
+    """Smallest pairwise distance between the points; inf for fewer than two.
+
+    points is an array or a sequence of Python scalars.
+    """
+    if isinstance(points, np.ndarray):
+        points = points.tolist()
     return min(
-        (abs(a - b) for a, b in itertools.combinations(np.asarray(points).tolist(), 2)),
+        (abs(a - b) for a, b in itertools.combinations(points, 2)),
         default=float("inf"),
     )
 
@@ -86,19 +91,26 @@ def hamiltonian(i, pt):
     """H_i(q, p, t; kappa), polynomial in (q, p)."""
     if i not in (1, 2, 3):
         raise ValueError("Hamiltonian index must be 1, 2 or 3")
-    i0 = i - 1
+    return _hamiltonian(i - 1, pt.q, pt.p, pt.t, pt.kappa)
+
+
+def _hamiltonian(i0, q, p, t, kappa):
+    """H_{i0+1} at scalars, or elementwise at sample arrays.
+
+    q and p are scalars or arrays of one shape; t is (t1, t2, t3), whose
+    entries are scalars or arrays of that shape.
+    """
     j0, k0 = (i0 + 1) % 3, (i0 + 2) % 3
-    k = pt.kappa
-    kk = (k.k1, k.k2, k.k3)
-    qi = pt.q - pt.t[i0]
-    qj = pt.q - pt.t[j0]
-    qk = pt.q - pt.t[k0]
-    tij = pt.t[i0] - pt.t[j0]
-    tik = pt.t[i0] - pt.t[k0]
+    kk = (kappa.k1, kappa.k2, kappa.k3)
+    qi = q - t[i0]
+    qj = q - t[j0]
+    qk = q - t[k0]
+    tij = t[i0] - t[j0]
+    tik = t[i0] - t[k0]
     num = (
-        qi * qj * qk * pt.p**2
-        - ((kk[i0] - 1) * qj * qk + kk[j0] * qk * qi + kk[k0] * qi * qj) * pt.p
-        + k.k0 * (k.k0 + k.k4) * qi
+        qi * qj * qk * p**2
+        - ((kk[i0] - 1) * qj * qk + kk[j0] * qk * qi + kk[k0] * qi * qj) * p
+        + kappa.k0 * (kappa.k0 + kappa.k4) * qi
     )
     return num / (tij * tik)
 

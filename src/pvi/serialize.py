@@ -132,26 +132,23 @@ def write_orbit_csv(fh, samples):
 def write_trajectory_csv(fh, traj, residuals=None):
     """One row per accepted flow step.
 
-    The Hamiltonian columns are evaluated per sample; the residual column
-    takes the given per-sample values, or nan when the trajectory is not
-    in the (0, 1, x) chart where the scalar equation lives.
+    The Hamiltonian columns are evaluated over the sample arrays; the
+    residual column takes the given per-sample values, or nan when the
+    trajectory is not in the (0, 1, x) chart where the scalar equation
+    lives.  The rows are formatted one at a time, so no second copy of the
+    whole trajectory is held as Python objects; neither the header nor a
+    number needs CSV quoting.
     """
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(TRAJECTORY_HEADER)
-    for n, smp in enumerate(traj.samples):
-        pt = fuchsian.PhasePoint.make(smp.q, smp.p, smp.t, traj.kappa)
-        hs = [fuchsian.hamiltonian(i, pt) for i in (1, 2, 3)]
-        res = float("nan") if residuals is None else float(residuals[n])
-        writer.writerow([
-            repr(float(smp.arclength)),
-            repr(float(smp.t[2].real)), repr(float(smp.t[2].imag)),
-            repr(float(smp.q.real)), repr(float(smp.q.imag)),
-            repr(float(smp.p.real)), repr(float(smp.p.imag)),
-            repr(float(hs[0].real)), repr(float(hs[0].imag)),
-            repr(float(hs[1].real)), repr(float(hs[1].imag)),
-            repr(float(hs[2].real)), repr(float(hs[2].imag)),
-            repr(res),
-        ])
+    fh.write(",".join(TRAJECTORY_HEADER) + "\n")
+    arclength, t, q, p = traj.columns
+    hs = [fuchsian._hamiltonian(i0, q, p, t.T, traj.kappa) for i0 in range(3)]
+    res = np.full(len(q), np.nan) if residuals is None else np.asarray(residuals, dtype=float)
+    cols = np.column_stack([
+        arclength, t[:, 2].real, t[:, 2].imag, q.real, q.imag, p.real, p.imag,
+        hs[0].real, hs[0].imag, hs[1].real, hs[1].imag, hs[2].real, hs[2].imag,
+        res,
+    ])
+    fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in cols)
 
 
 def encode_singular_report(report):

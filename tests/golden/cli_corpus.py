@@ -63,6 +63,11 @@ def command_lines():
                       "kappa_free": [0.23, 0.31, 0.17, 0.29]},
             "path": [[0, 1, 2], [0, 1, [2.5, 0.3]]]})],
         ["selftest"],
+        # A generic point in the (0, 1, x) chart, off the Riccati locus.
+        ["flow", "--input", json.dumps({
+            "point": {"q": [-0.6804, 0.5986], "p": [-0.0403, 0.191], "t": [0, 1, 2],
+                      "kappa_free": [0.6498, 0.3158, -0.2571, -0.773]},
+            "path": [[0, 1, 2], [0, 1, 1.6], [0, 1, [1.6, 0.3]]]})],
     ]
     return lines
 

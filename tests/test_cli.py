@@ -220,6 +220,25 @@ def test_main_logs_the_subcommand_and_its_exit_code(caplog, capsys):
     ]
 
 
+def test_flow_debug_line_leaves_the_output_alone(monkeypatch, capsys, caplog):
+    """With PVI_LOG unset nothing reaches stderr; the DEBUG line of
+    flow.integrate goes to the log, never into the CSV."""
+    spec = (
+        '{"point": {"q": [-0.6804,0.5986], "p": [-0.0403,0.191], "t": [0,1,2], '
+        '"kappa_free": [0.6498,0.3158,-0.2571,-0.773]}, "path": [[0,1,2],[0,1,1.8]]}'
+    )
+    monkeypatch.delenv("PVI_LOG", raising=False)
+    assert cli.main(["flow", "--input", spec]) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    caplog.set_level(logging.DEBUG, logger="pvi")
+    assert cli.main(["flow", "--input", spec]) == 0
+    assert capsys.readouterr() == plain
+    assert [r.getMessage().split(":")[0] for r in caplog.records if r.name == "pvi.flow"] == [
+        "flow.integrate"
+    ]
+
+
 def test_rh_right_hand_side_evaluations_stay_bounded(tmp_path, monkeypatch):
     """A count-based cost gate: it does not depend on the speed of the host."""
     evals = [0]

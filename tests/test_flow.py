@@ -1,7 +1,14 @@
 """Tests for the isomonodromic flow: integration, return maps, Riccati locus."""
 
+import cmath
+import logging
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pvi import cubic, flow, fuchsian, modular, params
 
@@ -94,6 +101,93 @@ class TestVectorField:
             assert abs(dp) < 1e-15
 
 
+def _numpy_field(q, p, t, kk, b, dt):
+    """The field as written for numpy complex128 values, the reference of _field."""
+    qs = q - t
+    u = qs[0] * qs[1] * qs[2]
+    uq = qs[1] * qs[2] + qs[2] * qs[0] + qs[0] * qs[1]
+    dq = 0.0 + 0.0j
+    dp = 0.0 + 0.0j
+    for i0 in range(3):
+        if dt[i0] == 0.0:
+            continue
+        j0, k0 = (i0 + 1) % 3, (i0 + 2) % 3
+        di = (t[i0] - t[j0]) * (t[i0] - t[k0])
+        wi = (
+            (kk[i0] - 1.0) * qs[j0] * qs[k0]
+            + kk[j0] * qs[k0] * qs[i0]
+            + kk[k0] * qs[i0] * qs[j0]
+        )
+        wiq = (
+            (kk[i0] - 1.0) * (qs[j0] + qs[k0])
+            + kk[j0] * (qs[k0] + qs[i0])
+            + kk[k0] * (qs[i0] + qs[j0])
+        )
+        dq += dt[i0] * (2.0 * u * p - wi) / di
+        dp -= dt[i0] * (uq * p * p - wiq * p + b) / di
+    return dq, dp
+
+
+def _both_fields(q, p, t, kappa, dt):
+    """(_field on Python scalars, _numpy_field on complex128), warnings ignored by numpy."""
+    kk, b = flow._field_constants(kappa)
+    got = flow._field(q, p, list(t), kk, b, list(dt))
+    c = np.complex128
+    with np.errstate(all="ignore"):
+        want = _numpy_field(
+            c(q), c(p), np.array(t, dtype=complex), tuple(c(k) for k in kk), c(b),
+            np.array(dt, dtype=complex),
+        )
+    return got, tuple(complex(z) for z in want)
+
+
+def _parts(z):
+    """(re, im) with every nan spelled 'nan', so that nan results compare equal."""
+    return tuple("nan" if math.isnan(v) else v for v in (z.real, z.imag))
+
+
+COORD = st.floats(-3.0, 3.0)
+CPLX = st.builds(complex, COORD, COORD)
+
+
+class TestFieldIsNumpyBitForBit:
+    """_field on Python scalars rounds exactly as the numpy complex128 formula."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(q=CPLX, p=CPLX, c=CPLX, dt=st.lists(CPLX, min_size=3, max_size=3),
+           free=st.lists(st.floats(-0.8, 0.8), min_size=4, max_size=4),
+           size=st.floats(0.1, 3.0), ratio=st.floats(0.0, 0.99),
+           signs=st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))),
+           real_major=st.booleans())
+    def test_equals_the_numpy_formula(self, q, p, c, dt, free, size, ratio, signs, real_major):
+        # t = (c, c + 1, c + x) makes the first quotient's divisor about x,
+        # so real_major picks which branch of the division that term takes.
+        major, minor = signs[0] * size, signs[1] * size * ratio
+        x = complex(major, minor) if real_major else complex(minor, major)
+        assume(abs(x - 1.0) > 0.05)
+        t = (c, c + 1.0, c + x)
+        d0 = (t[0] - t[1]) * (t[0] - t[2])
+        assert (abs(d0.real) >= abs(d0.imag)) == real_major
+        got, want = _both_fields(q, p, t, params.Exponents.from_free(*free), dt)
+        assert got == want
+
+    def test_underflowed_divisor_gives_numpy_inf_and_nan(self):
+        """Every divisor (t_i - t_j)(t_i - t_k) underflows to 0 here."""
+        t = (0j, 1e-170 + 0j, 2e-170 + 0j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, want = _both_fields(0.4 + 0.3j, 0.2 - 0.5j, t, _kappa(), (1, 1, 1))
+        assert not (cmath.isfinite(got[0]) and cmath.isfinite(got[1]))
+        assert [_parts(z) for z in got] == [_parts(z) for z in want]
+
+    def test_overflow_gives_inf_or_nan_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, want = _both_fields(1e200 + 0j, 0.2 - 0.5j, (0j, 1 + 0j, 2 + 0j), _kappa(), (0, 0, 1))
+        assert not (cmath.isfinite(got[0]) and cmath.isfinite(got[1]))
+        assert [_parts(z) for z in got] == [_parts(z) for z in want]
+
+
 class TestIntegrate:
     def test_zero_length_path(self):
         pt = _phase_point()
@@ -124,6 +218,38 @@ class TestIntegrate:
         arcs = [s.arclength for s in traj.samples]
         assert all(b > a for a, b in zip(arcs, arcs[1:]))
         assert traj.samples[-1].arclength == pytest.approx(0.3, rel=1e-9)
+
+    def test_step_sequence_is_unchanged(self):
+        """The accepted steps on the first anchor of the benchmark's flow workload.
+
+        The point is that anchor without its jitter and the path is the
+        workload's loop around t2 = 1 (perfbench/workloads.py).  1735 is the
+        count of the field on numpy complex128 values; a last-bit change in
+        the field would move it.
+        """
+        xs = (
+            [2.0 + 0j]
+            + [complex(1 + 0.6 * np.exp(2j * np.pi * k / 16)) for k in range(17)]
+            + [2.0 + 0j]
+        )
+        pt = fuchsian.PhasePoint.make(
+            -0.6804 + 0.5986j, -0.0403 + 0.1910j, (0, 1, 2),
+            params.Exponents.from_free(0.6498, 0.3158, -0.2571, -0.7730),
+        )
+        traj = flow.integrate(pt, flow.TimePath.make([(0, 1, x) for x in xs]))
+        assert len(traj) - 1 == 1735
+
+    def test_logs_one_debug_line(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="pvi.flow")
+        path = flow.TimePath.make([(0, 1, 2), (0, 1, 2.3), (0, 1, 2.3), (0, 1, 2.3 + 0.2j)])
+        traj = flow.integrate(_phase_point(), path)
+        (record,) = caplog.records
+        max_q = max(abs(s.q) for s in traj.samples)
+        assert (record.name, record.levelno) == ("pvi.flow", logging.DEBUG)
+        assert record.getMessage() == (
+            f"flow.integrate: 2 moving segments, {len(traj) - 1} accepted samples, "
+            f"max |q| {max_q:.6g}"
+        )
 
     def test_blow_up_is_reported_with_location(self):
         """A real-axis run into a movable pole raises with position data."""
@@ -187,6 +313,29 @@ class TestPviResidual:
         )
         with pytest.raises(ValueError):
             flow.pvi_residual(traj)
+
+    def test_chart_predicate(self):
+        assert self.traj.in_chart()
+        off = flow.integrate(_phase_point(), flow.TimePath.make([(0, 1, 2), (0, 1.2, 2)]))
+        assert not off.in_chart()
+
+    def test_matches_a_per_sample_scalar_evaluation(self):
+        """The array residual against the defect computed one sample at a time."""
+        want = []
+        prev = None
+        for smp in self.traj.samples:
+            q, p, x = complex(smp.q), complex(smp.p), complex(smp.t[2])
+            f, _, chain = flow._chart_derivatives(q, p, x, self.kappa)
+            r = abs(chain - flow._pvi_rhs(q, f, x, self.kappa))
+            if prev is not None:
+                x0, q0, f0, c0 = prev
+                h = x - x0
+                if abs(h) > 1e-13:
+                    r += abs(q - q0 - 0.5 * h * (f0 + f) + h * h / 12.0 * (chain - c0)) / abs(h)
+            want.append(r)
+            prev = (x, q, f, chain)
+        got = flow.pvi_residual(self.traj)
+        assert np.max(np.abs(got - np.array(want))) <= 1e-12
 
 
 class TestNonlinearMonodromy:

@@ -106,6 +106,25 @@ class TestPhasePoint:
         assert list(pt.poles()) == [0.0, 1.0, 2.0, pt.q]
         assert 0.0 < pt.min_pole_gap() <= 1.0
 
+    def test_min_gap_takes_an_array_or_python_scalars(self):
+        points = [0j, 1 + 0j, 0.5 + 0.1j]
+        assert fuchsian._min_gap(points) == fuchsian._min_gap(np.array(points)) == abs(0.5 - 0.1j)
+        assert fuchsian._min_gap([1j]) == float("inf")
+
+
+def test_hamiltonian_over_sample_arrays_matches_each_sample():
+    """The one formula of H_i, evaluated on arrays and per phase point."""
+    rng = np.random.default_rng(7)
+    k = params.Exponents.from_free(0.21, 0.33, 0.17, 0.11)
+    q = rng.normal(size=20) + 1j * rng.normal(size=20)
+    p = rng.normal(size=20) + 1j * rng.normal(size=20)
+    t = np.column_stack([np.zeros(20), np.ones(20), 2.0 + rng.normal(size=20) * 0.3j])
+    for i in (1, 2, 3):
+        h = fuchsian._hamiltonian(i - 1, q, p, t.T, k)
+        for n in range(20):
+            want = fuchsian.hamiltonian(i, fuchsian.PhasePoint.make(q[n], p[n], t[n], k))
+            assert abs(h[n] - want) <= 1e-13 * max(1.0, abs(want))
+
 
 class TestResidueStructure:
     """Derived identities pinning the residue data of the equation."""

@@ -50,9 +50,10 @@ def _output(path):
 
 
 def _emit(args, payload):
+    # a nan or inf is not JSON: ValueError, and nothing is written
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with _output(args.out) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def cmd_classify(args):

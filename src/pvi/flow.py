@@ -244,11 +244,11 @@ def _coerce_path(path):
 
 
 def _moving_segments(path):
-    """(v, at, cap) for each segment t = a + s v, 0 <= s <= 1, that moves.
+    """(v, at, first_step) for each segment t = a + s v, 0 <= s <= 1, that moves.
 
     v is a list of Python complex scalars and at(s) the triple t(s) of
-    them.  cap(s, state) is the step cap of adaptive_rk in s: 0.05 times
-    the minimal pole gap at t(s), over the largest component of v.
+    them.  first_step is the first step of adaptive_rk in s: 0.05 times
+    the minimal pole gap at t(0), over the largest component of v.
     """
     for a, b in path.segments():
         v = (b - a).tolist()
@@ -261,19 +261,17 @@ def _moving_segments(path):
         def at(s, a0=a0, a1=a1, a2=a2, v0=v0, v1=v1, v2=v2):
             return (a0 + s * v0, a1 + s * v1, a2 + s * v2)
 
-        def cap(s, state, at=at, vmax=vmax):
-            return max(1e-12, 0.05 * fuchsian._min_gap(at(s)) / vmax)
-
-        yield v, at, cap
+        yield v, at, max(1e-12, 0.05 * fuchsian._min_gap(at(0.0)) / vmax)
 
 
 def integrate(pt, path):
     """Integrate the Hamiltonian system along a polyline time path.
 
-    The step size is capped at 0.05 times the current minimal pole gap.
-    Raises BlowUpError when q comes closer to a pole position than
-    _BLOWUP_CLEARANCE times the path scale or when |q| or |p| exceeds
-    _BLOWUP_BOUND; this is the movable-pole diagnostic.
+    Each segment's first step is at most 0.05 times the minimal pole gap
+    at its start.  Raises BlowUpError when q, at the start or after any
+    accepted step, is closer to a pole position than _BLOWUP_CLEARANCE
+    times the path scale or when |q| or |p| exceeds _BLOWUP_BOUND; this is
+    the movable-pole diagnostic.
     """
     path = _coerce_path(path)
     t0 = path.vertices[0]
@@ -282,12 +280,26 @@ def integrate(pt, path):
         raise ValueError("path must start at the phase point's pole triple")
     clearance = _BLOWUP_CLEARANCE * scale
     kk, b = _field_constants(pt.kappa)
+    samples = []
 
-    samples = [FlowSample(0.0, pt.t.copy(), pt.q, pt.p)]
+    def add_sample(arc, t_s, q_s, p_s):
+        ta, tb, tc = t_s
+        pole_dist = min(abs(q_s - ta), abs(q_s - tb), abs(q_s - tc))
+        t_s = np.array(t_s)
+        if pole_dist < clearance:
+            why = f"blow-up near pole: |q - t_i| = {pole_dist:.3e}"
+        elif abs(q_s) > _BLOWUP_BOUND or abs(p_s) > _BLOWUP_BOUND:
+            why = f"blow-up: coordinate bound {_BLOWUP_BOUND:.1e} exceeded"
+        else:
+            samples.append(FlowSample(arc, t_s, q_s, p_s))
+            return
+        raise BlowUpError(f"{why} at arclength {arc:.6f}", arc, t_s, q_s, p_s)
+
+    add_sample(0.0, pt.t.tolist(), pt.q, pt.p)
     y = np.array([pt.q, pt.p], dtype=complex)
     arc_base = 0.0
     n_segments = 0
-    for v, at, cap in _moving_segments(path):
+    for v, at, first_step in _moving_segments(path):
         vnorm = float(np.linalg.norm(v))
         n_segments += 1
 
@@ -296,26 +308,9 @@ def integrate(pt, path):
             return _field(q_s, p_s, at(s), kk, b, v)
 
         def record(s, state, h, err, at=at, vnorm=vnorm):
-            ta, tb, tc = t_s = at(s)
-            q_s, p_s = state.tolist()
-            arc = arc_base + s * vnorm
-            pole_dist = min(abs(q_s - ta), abs(q_s - tb), abs(q_s - tc))
-            t_s = np.array(t_s)
-            if pole_dist < clearance:
-                raise BlowUpError(
-                    f"blow-up near pole: |q - t_i| = {pole_dist:.3e} "
-                    f"at arclength {arc:.6f}",
-                    arc, t_s, q_s, p_s,
-                )
-            if abs(q_s) > _BLOWUP_BOUND or abs(p_s) > _BLOWUP_BOUND:
-                raise BlowUpError(
-                    f"blow-up: coordinate bound {_BLOWUP_BOUND:.1e} exceeded "
-                    f"at arclength {arc:.6f}",
-                    arc, t_s, q_s, p_s,
-                )
-            samples.append(FlowSample(arc, t_s, q_s, p_s))
+            add_sample(arc_base + s * vnorm, at(s), *state.tolist())
 
-        y = rk.adaptive_rk(rhs, y, 0.0, 1.0, max_step=cap, on_accept=record)
+        y = rk.adaptive_rk(rhs, y, 0.0, 1.0, first_step=first_step, on_accept=record)
         arc_base += vnorm
     traj = Trajectory(kappa=pt.kappa, samples=tuple(samples))
     if log.isEnabledFor(logging.DEBUG):
@@ -541,7 +536,7 @@ def riccati_flow(pt, path):
 
     dev = 0.0
     q = pt.q
-    for v, at, cap in _moving_segments(path):
+    for v, at, first_step in _moving_segments(path):
         y = np.array([q, q, 1.0], dtype=complex)
 
         def rhs(s, state, at=at, v=v):
@@ -559,7 +554,7 @@ def riccati_flow(pt, path):
             if abs(y2) > 1e-300:
                 dev = max(dev, abs(qq - y1 / y2))
 
-        y = rk.adaptive_rk(rhs, y, 0.0, 1.0, max_step=cap, on_accept=watch)
+        y = rk.adaptive_rk(rhs, y, 0.0, 1.0, first_step=first_step, on_accept=watch)
         q = y[0]
 
     report = RiccatiReport(

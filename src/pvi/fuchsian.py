@@ -138,9 +138,15 @@ def build_equation(pt):
     kappa0 (kappa0 + kappa4) of the exponents at infinity.  Both identities
     hold exactly for the H_i returned by hamiltonian (whose sign convention
     is the one the flow equations use) and make useful independent checks.
+    A point whose H_i overflow raises ValueError.
     """
     k = pt.kappa
-    h = [hamiltonian(i, pt) for i in (1, 2, 3)]
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            h = [hamiltonian(i, pt) for i in (1, 2, 3)]
+    except (OverflowError, FloatingPointError):  # OverflowError: p**2 of a complex
+        raise ValueError(f"the Hamiltonians H_i overflow at q = {pt.q}, p = {pt.p}, "
+                         f"t = {tuple(pt.t.tolist())}") from None
     return FuchsianEquation(
         poles=pt.poles(),
         v1_residues=np.array([k.k1 - 1.0, k.k2 - 1.0, k.k3 - 1.0, 1.0]),
@@ -164,10 +170,10 @@ def transport(eq, path):
 
     Returns T with (f, f')(end) = T (f, f')(start).  A path that comes
     closer to a pole than 0.05 times the minimal pole gap raises
-    PoleClearanceError; each integration step is clamped to 0.25 times the
-    distance to the nearest pole, which keeps the adaptive controller
-    honest right where the coefficients blow up.  A leg that needs more
-    than _LEG_MAX_STEPS steps raises StepUnderflowError.
+    PoleClearanceError.  Each leg's first step is at most 0.25 times the
+    distance from its start to the nearest pole; the error estimate sets
+    every later step.  A leg that needs more than _LEG_MAX_STEPS steps
+    raises StepUnderflowError.
     """
     path = np.asarray(path, dtype=complex)
     if path.ndim != 1 or len(path) < 1:
@@ -202,11 +208,8 @@ def transport(eq, path):
                 [seg * g1, seg * g2, seg * (a * g1 - b * f1), seg * (a * g2 - b * f2)]
             )
 
-        def clamp(s, y, z0=z0, seg=seg, scale=0.25 / abs(seg)):
-            z = z0 + s * seg
-            return max(1e-12, scale * min(abs(z - c) for c in poles))
-
-        y = adaptive_rk(rhs, T.reshape(4), 0.0, 1.0, max_step=clamp,
+        first_step = max(1e-12, 0.25 / abs(seg) * min(abs(z0 - c) for c in poles))
+        y = adaptive_rk(rhs, T.reshape(4), 0.0, 1.0, first_step=first_step,
                         max_steps=_LEG_MAX_STEPS)
         T = y.reshape(2, 2)
     return T

@@ -84,9 +84,12 @@ def _kappa_array(kappa):
 
 
 def kappa_to_a(kappa):
-    """Local monodromy traces: a_i = 2cos(pi k_i) for i=1,2,3, a4 = -2cos(pi k4)."""
+    """Traces a_i = 2cos(pi k_i) for i=1,2,3, a4 = -2cos(pi k4); ValueError on overflow."""
     k = _kappa_array(kappa)
-    a = 2.0 * np.cos(np.pi * k[1:5])
+    with np.errstate(all="ignore"):
+        a = 2.0 * np.cos(np.pi * k[1:5])
+    if not np.isfinite(a).all():
+        raise ValueError(f"kappa {tuple(k.tolist())} is out of range: 2cos(pi k_i) overflows")
     a[3] = -a[3]
     return a
 

@@ -3,9 +3,10 @@
 The integrands in this package are analytic vector fields evaluated along
 real-parametrized segments (paths in a complex plane, or legs of a polyline
 in configuration space).  State vectors are complex ndarrays; the embedded
-4th-order solution supplies the error estimate.  A caller-supplied max_step
-hook lets pole-aware routines clamp the step by distance to the nearest
-singularity, which is the only stiffness source in this problem class.
+4th-order solution supplies the error estimate.  Pole-aware callers pass a
+first step scaled by the distance to the nearest singularity, the only
+stiffness source in this problem class; after it the error estimate alone
+sets the step.
 """
 
 from __future__ import annotations
@@ -53,14 +54,15 @@ def adaptive_rk(
     y0,
     s0,
     s1,
-    max_step=None,
+    first_step=None,
     max_steps=2_000_000,
     on_accept=None,
 ):
     """Integrate dy/ds = f(s, y) from s0 to s1 (real s, complex y) at _RTOL, _ATOL.
 
-    max_step may be a positive float or a callable (s, y) -> float giving a
-    local clamp.  on_accept(s, y, h, err) is called after every accepted step
+    The first attempted step is |s1 - s0| / 10, or first_step if that is
+    smaller; after it only the error estimate and the end of the span limit
+    the step.  on_accept(s, y, h, err) is called after every accepted step
     with the signed step h and the tolerance-weighted error estimate err
     (accepted steps have err <= 1).
     Returns the final state vector.  Raises StepUnderflowError if adaptivity
@@ -74,21 +76,14 @@ def adaptive_rk(
         return y
     direction = 1.0 if span > 0 else -1.0
 
-    def clamp(s_cur, y_cur):
-        if max_step is None:
-            return abs(span)
-        if callable(max_step):
-            return float(max_step(s_cur, y_cur))
-        return float(max_step)
-
     k = np.empty((7,) + y.shape, dtype=complex)
     k[0] = f(s, y)
-    h = min(abs(span) / 10.0, clamp(s, y))
+    h = abs(span) / 10.0 if first_step is None else min(abs(span) / 10.0, first_step)
     n_accepted = 0
     for _ in range(max_steps):
         if direction * (s - s1) >= 0:
             return y
-        h = min(h, clamp(s, y), abs(s1 - s))
+        h = min(h, abs(s1 - s))
         if h < _MIN_STEP:
             raise StepUnderflowError(
                 f"step size {h:.3e} underflowed at s={s:.6f} (pole or stiffness)"

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import argparse
 import csv
 import json
 import logging
@@ -276,19 +277,49 @@ def test_rh_right_hand_side_evaluations_stay_bounded(tmp_path, monkeypatch):
         ("orbit", '{"point": [1], "word": "1 1", "n": 1}'),
         ("orbit", ORBIT_INPUT.replace('"word": "1 1 -2 -2"', '"word": 5')),
         ("orbit", ORBIT_INPUT.replace('"n": 6', '"n": [1]')),
+        ("rh", RH_INPUT.replace('"p": [0.2,-0.5]', '"p": 1e160')),
+        ("rh", RH_INPUT.replace('"q": [0.4,0.3]', '"q": 1e200')),
+        ("rh", RH_INPUT.replace('"t": [0,1,2]', '"t": [0,1,1e300]')),
+        ("flow", MONODROMY_INPUT.replace('"p": [0.2,-0.5]', '"p": 1e300').replace(
+            '"braid": "1 1"', '"path": [[0,1,2],[0,1,2.3]]')),
+        ("monodromy", MONODROMY_INPUT.replace('"p": [0.2,-0.5]', '"p": 1e300')),
+        ("backlund", MONODROMY_INPUT.replace("[0.21,", "[[0.1,300],").replace(
+            '"braid": "1 1"', '"word": "1"')),
+        ("classify", '{"kappa_free": [[0.1,1e300],0,0,0]}'),
     ],
     ids=[
         "inline-array", "scalar-t", "nan-kappa-free", "inf-q", "nan-p", "inf-t", "nan-kappa",
         "classify-no-key", "flow-list-point", "flow-scalar-path", "monodromy-scalar-braid",
         "monodromy-string-point", "backlund-scalar-word", "backlund-nested-word",
         "orbit-list-point", "orbit-scalar-word", "orbit-list-n",
+        "rh-p-1e160", "rh-q-1e200", "rh-t3-1e300", "flow-p-1e300", "monodromy-p-1e300",
+        "backlund-kappa-imag-300", "classify-kappa-imag-1e300",
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_malformed_input_is_one_error_line(command, spec, capsys):
     assert cli.main([command, "--input", spec]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_emit_writes_nothing_for_a_non_finite_number(tmp_path):
+    """NaN and Infinity are not JSON (RFC 8259): the payload is refused whole."""
+    path = tmp_path / "out.json"
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            cli._emit(argparse.Namespace(out=str(path)), {"a": 1.0, "b": [bad]})
+        assert not path.exists()
+
+
+def test_non_finite_output_is_one_error_line(monkeypatch, capsys):
+    monkeypatch.setattr(cubic, "discriminant_lift", lambda a: complex("nan"))
+    assert cli.main(["classify", "--input", '{"kappa": [0.15625, 0.25, 0.25, 0.125, 0.0625]}']) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("command", ["classify", "rh", "orbit", "flow", "monodromy", "backlund"])

@@ -239,6 +239,47 @@ class TestIntegrate:
         traj = flow.integrate(pt, flow.TimePath.make([(0, 1, x) for x in xs]))
         assert len(traj) - 1 == 1735
 
+    def test_later_steps_stay_inside_the_old_pole_clamp(self, monkeypatch):
+        """After a segment's first step, every accepted step moves t by at
+        most half of 0.05 times the minimal pole gap at its start, the clamp
+        integrate no longer applies.  The point and path are those of the
+        in-chart flow entry of tests/golden/cli_corpus.json.
+        """
+        legs = []
+        original = flow.rk.adaptive_rk
+
+        def counting_rk(f, *args, on_accept, **kwargs):
+            legs.append(0)
+
+            def accepted(*a):
+                legs[-1] += 1
+                on_accept(*a)
+
+            return original(f, *args, on_accept=accepted, **kwargs)
+
+        monkeypatch.setattr(flow.rk, "adaptive_rk", counting_rk)
+        pt = fuchsian.PhasePoint.make(
+            -0.6804 + 0.5986j, -0.0403 + 0.191j, (0, 1, 2),
+            params.Exponents.from_free(0.6498, 0.3158, -0.2571, -0.773),
+        )
+        traj = flow.integrate(pt, flow.TimePath.make([(0, 1, 2), (0, 1, 1.6), (0, 1, 1.6 + 0.3j)]))
+        t = traj.columns[1]
+        assert len(legs) == 2 and sum(legs) == len(traj) - 1
+        # steps i -> i + 1 after each leg's first
+        later = [i for start, n in zip(np.cumsum([0] + legs), legs) for i in range(start + 1, start + n)]
+        margin = min(
+            0.05 * fuchsian._min_gap(t[i]) / np.max(np.abs(t[i + 1] - t[i])) for i in later
+        )
+        assert margin >= 2.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("q, p", [(0.4, 1e300), (1e200, 0.3), (1e-9, 0.3)])
+    def test_out_of_bounds_start_is_a_blow_up_at_arclength_zero(self, q, p):
+        pt = fuchsian.PhasePoint.make(q, p, (0.0, 1.0, 2.0), _kappa())
+        with pytest.raises(flow.BlowUpError, match="at arclength 0.000000") as info:
+            flow.integrate(pt, flow.TimePath.make([(0, 1, 2), (0, 1, 2.3)]))
+        assert (info.value.arclength, info.value.q, info.value.p) == (0.0, pt.q, pt.p)
+
     def test_logs_one_debug_line(self, caplog):
         caplog.set_level(logging.DEBUG, logger="pvi.flow")
         path = flow.TimePath.make([(0, 1, 2), (0, 1, 2.3), (0, 1, 2.3), (0, 1, 2.3 + 0.2j)])

@@ -126,6 +126,18 @@ def test_hamiltonian_over_sample_arrays_matches_each_sample():
             assert abs(h[n] - want) <= 1e-13 * max(1.0, abs(want))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "q, p, t",
+    [(0.4, 1e160, (0, 1, 2)), (1e200, 0.3, (0, 1, 2)), (0.4, 0.3, (0, 1, 1e300))],
+    ids=["p-1e160", "q-1e200", "t3-1e300"],
+)
+def test_build_equation_refuses_overflowing_hamiltonians(q, p, t):
+    pt = fuchsian.PhasePoint.make(q, p, t, params.Exponents.from_free(0.1, 0.2, 0.3, 0.1))
+    with pytest.raises(ValueError, match="H_i overflow at q = .*, p = "):
+        fuchsian.build_equation(pt)
+
+
 class TestResidueStructure:
     """Derived identities pinning the residue data of the equation."""
 
@@ -250,3 +262,69 @@ def test_loop_transport_inverts_the_tail(eq, basepoint, pole_indices):
         full = fuchsian.transport(eq, fuchsian.loop_around(eq, i, basepoint=basepoint))
         once = fuchsian._loop_transport(eq, i, basepoint)
         assert np.max(np.abs(once - full)) < 1e-10
+
+
+def _golden_rh_point():
+    """The generic point of the rh entries of tests/golden/cli_corpus.json."""
+    k = params.Exponents.from_free(0.3, -0.2, 0.45, 0.15)
+    return fuchsian.PhasePoint.make(0.4 + 0.3j, 0.2 - 0.1j, (0.0, 1.0, 2.0), k)
+
+
+class TestTransportSteps:
+    def test_step_sequence_is_unchanged(self, monkeypatch):
+        """Accepted steps and RHS evaluations of monodromy, then apparent_check.
+
+        The counts were recorded while transport clamped every attempted
+        step to 0.25 times the distance to the nearest pole; the first step
+        of each leg now carries that clamp alone, and the counts stay.
+        """
+        counts = [0, 0]
+        original = fuchsian.adaptive_rk
+
+        def counting_rk(f, *args, **kwargs):
+            def counted_f(s, y):
+                counts[1] += 1
+                return f(s, y)
+
+            def accepted(s, y, h, err):
+                counts[0] += 1
+
+            return original(counted_f, *args, on_accept=accepted, **kwargs)
+
+        monkeypatch.setattr(fuchsian, "adaptive_rk", counting_rk)
+        pt = _golden_rh_point()
+        fuchsian.monodromy(pt)
+        assert counts == [2229, 13935]
+        fuchsian.apparent_check(pt)
+        assert counts == [2911, 18214]
+
+    def test_later_steps_stay_inside_the_old_pole_clamp(self, monkeypatch):
+        """After a leg's first step, every accepted step is at most half of
+        0.25 |z - c| / |seg| at its start, the clamp transport no longer applies."""
+        pending, legs = [], []
+        original_transport, original_rk = fuchsian.transport, fuchsian.adaptive_rk
+
+        def recording_transport(eq, path):
+            for z0, z1 in zip(path[:-1], path[1:]):
+                if z1 != z0:
+                    pending.append((eq.poles, complex(z0), complex(z1 - z0), []))
+            return original_transport(eq, path)
+
+        def recording_rk(f, *args, **kwargs):
+            leg = pending.pop(0)
+            legs.append(leg)
+            return original_rk(f, *args, **kwargs,
+                               on_accept=lambda s, y, h, err: leg[3].append((s - h, abs(h))))
+
+        monkeypatch.setattr(fuchsian, "transport", recording_transport)
+        monkeypatch.setattr(fuchsian, "adaptive_rk", recording_rk)
+        pt = _golden_rh_point()
+        fuchsian.monodromy(pt)
+        fuchsian.apparent_check(pt)
+        assert len(legs) == 100 and not pending
+        margin = min(
+            max(1e-12, 0.25 / abs(seg) * min(abs(z0 + s * seg - c) for c in poles)) / h
+            for poles, z0, seg, steps in legs
+            for s, h in steps[1:]
+        )
+        assert margin >= 2.0

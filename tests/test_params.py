@@ -28,6 +28,15 @@ def test_kappa_to_a_quarter_eighth_example():
     assert abs(a[3] + 2.0) < 1e-15
 
 
+@pytest.mark.filterwarnings("error")
+def test_kappa_to_a_refuses_overflowing_traces():
+    """2cos(pi k) overflows once |Im k| passes about 226; below that it is finite."""
+    assert np.isfinite(params.kappa_to_a([0, 0.1 + 200j, 0, 0, 0.9 - 200j])).all()
+    for big in (300j, 1e300j, 0.5 + 1e300j):
+        with pytest.raises(ValueError, match="kappa .* out of range"):
+            params.kappa_to_a([0, 0.1 + big, 0, 0, 0.9 - big])
+
+
 def test_theta_from_a_closed_form():
     rng = np.random.default_rng(3)
     for _ in range(25):

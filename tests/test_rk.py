@@ -52,20 +52,22 @@ def test_max_steps_exhaustion_raises():
         )
 
 
-def test_callable_max_step_is_respected():
-    caps = []
+@pytest.mark.parametrize("first_step", [None, 1e-3, 0.05, 0.3])
+def test_first_attempt_is_the_smaller_of_a_tenth_of_the_span_and_first_step(first_step):
+    stages = []
+    rk.adaptive_rk(lambda s, y: stages.append(s) or -y, np.array([1.0 + 0j]), 0.0, 2.0,
+                   first_step=first_step)
+    # f is called once at s0, then at the stages of the first attempt, the
+    # sixth of them at s0 + h
+    assert stages[6] == (0.2 if first_step is None else min(0.2, first_step))
 
-    def cap(s, y):
-        return 0.01 + 0.1 * s
 
-    def record(s, y, h, err):
-        caps.append((s, abs(h)))
-
-    rk.adaptive_rk(lambda s, y: -y, np.array([1.0 + 0j]), 0.0, 1.0, max_step=cap, on_accept=record)
-    assert caps
-    for s_end, h in caps:
-        s_start = s_end - h
-        assert h <= cap(s_start, None) + 1e-12
+def test_first_step_does_not_cap_later_steps():
+    steps = []
+    rk.adaptive_rk(lambda s, y: -y, np.array([1.0 + 0j]), 0.0, 2.0, first_step=1e-3,
+                   on_accept=lambda s, y, h, err: steps.append(h))
+    assert steps[0] == 1e-3
+    assert max(steps) > 5e-3
 
 
 def test_on_accept_reports_weighted_error_below_one():

@@ -27,9 +27,11 @@ for i, m in enumerate(rep.matrices):
           f"|error| = {abs(tr - a[i]):.3g}")
 print(f"product defect |M4 M3 M2 M1 - I| = {rep.product_defect():.3g}")
 
-# q is an apparent singularity: the loop around it is trivial even
-# though the equation has a pole there.
-print(f"apparency |M_q - I| = {fuchsian.apparent_check(pt):.3g}")
+# q is an apparent singularity: the equation has a pole there, but the
+# exponents are 0 and 2 and the Frobenius series has no logarithm, so
+# the loop around q is trivial.  The check is the relative m = 2
+# obstruction |p^2 - a0 p + b0| of the series, with no integration.
+print(f"apparency |p^2 - a0 p + b0| (relative) = {fuchsian.apparent_check(pt):.3g}")
 
 # The pair traces are a point on the cubic surface with theta from kappa.
 sp = fuchsian.rh_point(pt)

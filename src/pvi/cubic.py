@@ -342,7 +342,9 @@ def _kernel_polish(x, theta):
 
     Solving that quadratic with the double-root snap recovers the kernel
     coordinate of a degenerate critical point to machine accuracy, where
-    residual-driven iterations stall near sqrt(eps).
+    residual-driven iterations stall near sqrt(eps).  A step is kept unless
+    it raises the defect by more than rounding: a stalled end point can
+    read a defect of exactly 0 while the exact root reads a few ulps.
     """
     for _ in range(3):
         if _conditioning(*(complex(v) for v in x))[2] > 1e-5:
@@ -365,7 +367,8 @@ def _kernel_polish(x, theta):
         if not np.isfinite(s) or abs(s) > 1.0:
             break  # not in the basin of a degenerate root
         xn = x + s * v
-        if _defect(xn, theta) <= _defect(x, theta):
+        ulps = 1e-15 * max(1.0, float(np.max(np.abs(theta))), float(np.max(np.abs(x))) ** 3)
+        if _defect(xn, theta) <= _defect(x, theta) + ulps:
             x = xn
         else:
             break

@@ -29,7 +29,7 @@ _BRAID_PAIRS = {1: (0, 1), 2: (1, 2), 3: (2, 0)}
 _BRAID_CHORDS = 16
 
 #: The flow raises BlowUpError when q comes closer to a pole than this
-#: fraction of the path scale, or when |q| or |p| exceeds the bound.
+#: fraction of the local pole gap, or when |q| or |p| exceeds the bound.
 _BLOWUP_CLEARANCE = 1e-8
 _BLOWUP_BOUND = 1e8
 
@@ -70,6 +70,13 @@ class TimePath:
             vs.append(arr)
         if not vs:
             raise ValueError("a time path needs at least one vertex")
+        t = np.array(vs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            denominators = (t - np.roll(t, 1, axis=1)) * (t - np.roll(t, -1, axis=1))
+        for v, d in zip(vs, denominators):
+            if not np.isfinite(d).all():
+                raise ValueError(f"pole triple {tuple(v.tolist())} is out of range: "
+                                 f"(t_i - t_j)(t_i - t_k) overflows")
         path = cls(tuple(vs))
         if path.min_gap() <= 0.0:
             raise ValueError("path collapses two pole positions")
@@ -84,17 +91,9 @@ class TimePath:
         return list(zip(self.vertices[:-1], self.vertices[1:]))
 
     def min_gap(self):
-        """Exact minimum of |t_i - t_j| over the whole polyline.
-
-        On each straight segment the difference t_i - t_j is linear in the
-        parameter, so the minimum is a point-to-segment distance.
-        """
-        gap = fuchsian._min_gap(self.vertices[0])
-        for a, b in self.segments():
-            for i, j in itertools.combinations(range(3), 2):
-                gap = min(gap, fuchsian._segment_pole_distance(
-                    a[i] - a[j], b[i] - b[j], 0))
-        return gap
+        """Exact minimum of |t_i - t_j| over the whole polyline."""
+        return min([fuchsian._min_gap(self.vertices[0])]
+                   + [_segment_gap(a, b) for a, b in self.segments()])
 
     def length(self):
         return sum(
@@ -237,6 +236,16 @@ def vector_field(pt, dt):
     return _field(complex(pt.q), complex(pt.p), pt.t.tolist(), kk, b, dt.tolist())
 
 
+def _segment_gap(a, b):
+    """Exact minimum of |t_i - t_j| on the straight segment from triple a to b.
+
+    On the segment the difference t_i - t_j is linear in the parameter, so
+    its minimum is a point-to-segment distance.
+    """
+    return min(fuchsian._segment_pole_distance(a[i] - a[j], b[i] - b[j], 0)
+               for i, j in itertools.combinations(range(3), 2))
+
+
 def _coerce_path(path):
     if isinstance(path, TimePath):
         return path
@@ -268,17 +277,17 @@ def integrate(pt, path):
     """Integrate the Hamiltonian system along a polyline time path.
 
     Each segment's first step is at most 0.05 times the minimal pole gap
-    at its start.  Raises BlowUpError when q, at the start or after any
-    accepted step, is closer to a pole position than _BLOWUP_CLEARANCE
-    times the path scale or when |q| or |p| exceeds _BLOWUP_BOUND; this is
-    the movable-pole diagnostic.
+    at its start.  Raises BlowUpError when q is closer to a pole position
+    than _BLOWUP_CLEARANCE times the local pole gap (the minimal gap of the
+    start triple, or of the segment after an accepted step on it) or when
+    |q| or |p| exceeds _BLOWUP_BOUND; this is the movable-pole diagnostic.
     """
     path = _coerce_path(path)
     t0 = path.vertices[0]
     scale = max(1.0, max(abs(z) for v in path.vertices for z in v))
     if max(abs(pt.t[i] - t0[i]) for i in range(3)) > 1e-9 * scale:
         raise ValueError("path must start at the phase point's pole triple")
-    clearance = _BLOWUP_CLEARANCE * scale
+    clearance = _BLOWUP_CLEARANCE * fuchsian._min_gap(pt.t)
     kk, b = _field_constants(pt.kappa)
     samples = []
 
@@ -301,6 +310,7 @@ def integrate(pt, path):
     n_segments = 0
     for v, at, first_step in _moving_segments(path):
         vnorm = float(np.linalg.norm(v))
+        clearance = _BLOWUP_CLEARANCE * _segment_gap(at(0.0), at(1.0))
         n_segments += 1
 
         def rhs(s, state, at=at, v=v):
@@ -436,13 +446,17 @@ def pvi_residual(traj):
     kappa = traj.kappa
     _, t, q, p = traj.columns
     x = t[:, 2]
-    f, _, chain = _chart_derivatives(q, p, x, kappa)
-    res = np.abs(chain - _pvi_rhs(q, f, x, kappa))
-    h = np.diff(x)
-    defect = np.diff(q) - 0.5 * h * (f[:-1] + f[1:]) + h * h / 12.0 * np.diff(chain)
-    step = np.abs(h)
-    moved = step > 1e-13
-    res[1:][moved] += np.abs(defect[moved]) / step[moved]
+    with np.errstate(all="ignore"):
+        f, _, chain = _chart_derivatives(q, p, x, kappa)
+        res = np.abs(chain - _pvi_rhs(q, f, x, kappa))
+        h = np.diff(x)
+        defect = np.diff(q) - 0.5 * h * (f[:-1] + f[1:]) + h * h / 12.0 * np.diff(chain)
+        step = np.abs(h)
+        moved = step > 1e-13
+        res[1:][moved] += np.abs(defect[moved]) / step[moved]
+    if not np.isfinite(res).all():
+        raise ValueError(f"the PVI residual is not finite on this trajectory "
+                         f"(max |x| = {float(np.max(np.abs(x))):.3g})")
     return res
 
 

@@ -157,11 +157,9 @@ def build_equation(pt):
 def _segment_pole_distance(z0, z1, c):
     """Distance from pole c to the segment [z0, z1]."""
     d = z1 - z0
-    L2 = abs(d) ** 2
-    if L2 == 0.0:
+    if d == 0:
         return abs(c - z0)
-    s = ((c - z0) * np.conj(d)).real / L2
-    s = min(1.0, max(0.0, s))
+    s = min(1.0, max(0.0, ((c - z0) / d).real))
     return abs(c - (z0 + s * d))
 
 
@@ -228,18 +226,17 @@ def _auto_basepoint(poles):
     span = max(1.0, max(abs(c - center) for c in poles) * 2.0)
     for trial in range(24):
         bp = center + span * (0.1371 + 0.31 * trial) + 1.8j * span
-        ok = all(
+        if all(
             _segment_pole_distance(bp, c, other) >= clearance
             for c in poles
             for other in poles
             if other != c
-        )
-        if ok:
+        ):
             return bp
     raise PoleClearanceError("no pole-free basepoint found")
 
 
-def loop_around(eq, pole_index, basepoint=None):
+def loop_around(eq, pole_index, basepoint):
     """Anticlockwise polyline loop around one pole, tailed to the basepoint.
 
     The circle radius is 0.3 times the distance to the nearest other pole,
@@ -250,8 +247,6 @@ def loop_around(eq, pole_index, basepoint=None):
     center = poles[pole_index]
     others = [c for i, c in enumerate(poles) if i != pole_index]
     radius = 0.3 * min(abs(center - c) for c in others)
-    if basepoint is None:
-        basepoint = _auto_basepoint(poles)
     phi0 = np.angle(basepoint - center)
     entry = center + radius * np.exp(1j * phi0)
     circle = [
@@ -292,13 +287,13 @@ class MonodromyRep:
 
 
 def _loop_transport(eq, pole_index, basepoint):
-    """Transfer matrix along loop_around(eq, pole_index, basepoint=basepoint).
+    """Transfer matrix along loop_around(eq, pole_index, basepoint).
 
     The loop runs out along its tail, around the circle and back along the
     same tail reversed, whose transfer matrix is exactly the inverse of the
     way out; so the tail is integrated once and T = T_tail^-1 C T_tail.
     """
-    path = loop_around(eq, pole_index, basepoint=basepoint)
+    path = loop_around(eq, pole_index, basepoint)
     tail = transport(eq, path[:2])
     circle = transport(eq, path[1:-1])
     return np.linalg.solve(tail, circle @ tail)
@@ -326,14 +321,19 @@ def monodromy(pt, basepoint=None):
 
 
 def apparent_check(pt):
-    """Norm of (raw monodromy around q) minus the identity.
+    """Relative Frobenius obstruction to q being an apparent singular point.
 
-    Small values certify that q is an apparent singular point, which is
-    exactly the property the Hamiltonian values encode; corrupting any H_i
-    destroys it.
+    Near q, v1 = 1/(z-q) + a0 + ... and v2 = p/(z-q) + b0 + ..., where a0
+    and b0 sum the residues at t1, t2, t3 over q - t_i.  The exponents at q
+    are 0 and 2: the series solution with c0 = 1 has c1 = p, and at m = 2
+    its recurrence reads 0 c2 = p (a0 - p) - b0.  So q is apparent exactly
+    when p^2 - a0 p + b0 = 0, as the H_i in b0 ensure.  Returns its modulus
+    over max(1, |p|^2, |a0 p|, |b0|), so rounding reads ~1e-16 at any scale.
     """
-    Tq = _loop_transport(build_equation(pt), 3, None)
-    return float(np.linalg.norm(Tq - np.eye(2)))
+    eq, q, p = build_equation(pt), pt.q, pt.p
+    a0 = sum(r / (q - c) for c, r in zip(eq.poles.tolist(), eq.v1_residues[:3].tolist()))
+    b0 = sum(r / (q - c) for c, r in zip(eq.poles.tolist(), eq.v2_residues[:3].tolist()))
+    return abs(p * p - a0 * p + b0) / max(1.0, abs(p * p), abs(a0 * p), abs(b0))
 
 
 def rh_point(pt):

@@ -66,7 +66,8 @@ def adaptive_rk(
     with the signed step h and the tolerance-weighted error estimate err
     (accepted steps have err <= 1).
     Returns the final state vector.  Raises StepUnderflowError if adaptivity
-    stalls, which in practice means the path runs into a singularity.
+    stalls, which in practice means the path runs into a singularity; an
+    attempt that overflows counts as rejected and raises no numpy warning.
     """
     y = np.asarray(y0, dtype=complex).copy()
     s = float(s0)
@@ -77,32 +78,34 @@ def adaptive_rk(
     direction = 1.0 if span > 0 else -1.0
 
     k = np.empty((7,) + y.shape, dtype=complex)
-    k[0] = f(s, y)
     h = abs(span) / 10.0 if first_step is None else min(abs(span) / 10.0, first_step)
     n_accepted = 0
-    for _ in range(max_steps):
-        if direction * (s - s1) >= 0:
-            return y
-        h = min(h, abs(s1 - s))
-        if h < _MIN_STEP:
-            raise StepUnderflowError(
-                f"step size {h:.3e} underflowed at s={s:.6f} (pole or stiffness)"
-            )
-        hd = direction * h
-        for i in range(1, 7):
-            k[i] = f(s + _C[i] * hd, y + hd * (_A[i] @ k[:i]))
-        y_new = y + hd * (_B5 @ k)
-        err = _error_norm(hd * (_ERR @ k), y, y_new)
-        if err <= 1.0:
-            s = s + hd
-            y = y_new
-            k[0] = k[6]  # FSAL
-            n_accepted += 1
-            if on_accept is not None:
-                on_accept(s, y, hd, err)
-            factor = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
-            h = h * max(0.2, factor)
-        else:
-            # rejected: k[0] = f(s, y) is still valid, only shrink h
-            h = h * max(0.2, 0.9 * err ** -0.2)
+    # an attempt whose error estimate is inf or nan is rejected like any other
+    with np.errstate(over="ignore", invalid="ignore"):
+        k[0] = f(s, y)
+        for _ in range(max_steps):
+            if direction * (s - s1) >= 0:
+                return y
+            h = min(h, abs(s1 - s))
+            if h < _MIN_STEP:
+                raise StepUnderflowError(
+                    f"step size {h:.3e} underflowed at s={s:.6f} (pole or stiffness)"
+                )
+            hd = direction * h
+            for i in range(1, 7):
+                k[i] = f(s + _C[i] * hd, y + hd * (_A[i] @ k[:i]))
+            y_new = y + hd * (_B5 @ k)
+            err = _error_norm(hd * (_ERR @ k), y, y_new)
+            if err <= 1.0:
+                s = s + hd
+                y = y_new
+                k[0] = k[6]  # FSAL
+                n_accepted += 1
+                if on_accept is not None:
+                    on_accept(s, y, hd, err)
+                factor = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
+                h = h * max(0.2, factor)
+            else:
+                # rejected: k[0] = f(s, y) is still valid, only shrink h
+                h = h * max(0.2, 0.9 * err ** -0.2)
     raise StepUnderflowError(f"exceeded {max_steps} steps (accepted {n_accepted})")

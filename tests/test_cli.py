@@ -286,6 +286,12 @@ def test_rh_right_hand_side_evaluations_stay_bounded(tmp_path, monkeypatch):
         ("backlund", MONODROMY_INPUT.replace("[0.21,", "[[0.1,300],").replace(
             '"braid": "1 1"', '"word": "1"')),
         ("classify", '{"kappa_free": [[0.1,1e300],0,0,0]}'),
+        ("flow", MONODROMY_INPUT.replace('"t": [0,1,2]', '"t": [0,1,1e300]').replace(
+            '"braid": "1 1"', '"path": [[0,1,1e300],[0,1,2e300]]')),
+        ("flow", MONODROMY_INPUT.replace('"braid": "1 1"', '"path": [[0,1,2],[0,1,1e100]]')),
+        ("flow", MONODROMY_INPUT.replace('"t": [0,1,2]', '"t": [0,1,1e100]').replace(
+            '"p": [0.2,-0.5]', '"p": [0.1,0]').replace(
+            '"braid": "1 1"', '"path": [[0,1,1e100],[0,1,[2e100,1e100]]]')),
     ],
     ids=[
         "inline-array", "scalar-t", "nan-kappa-free", "inf-q", "nan-p", "inf-t", "nan-kappa",
@@ -294,6 +300,7 @@ def test_rh_right_hand_side_evaluations_stay_bounded(tmp_path, monkeypatch):
         "orbit-list-point", "orbit-scalar-word", "orbit-list-n",
         "rh-p-1e160", "rh-q-1e200", "rh-t3-1e300", "flow-p-1e300", "monodromy-p-1e300",
         "backlund-kappa-imag-300", "classify-kappa-imag-1e300",
+        "flow-t3-1e300", "flow-t3-to-1e100", "flow-t3-1e100-residual",
     ],
 )
 @pytest.mark.filterwarnings("error")

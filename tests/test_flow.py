@@ -47,6 +47,11 @@ class TestTimePath:
         with pytest.raises(ValueError):
             flow.TimePath.make([(0.0, 1.0, 2.0), (0.0, 3.0, 2.0)])
 
+    def test_overflowing_pole_triple_is_rejected(self):
+        """(t_i - t_j)(t_i - t_k), the divisor of H_i, must stay finite."""
+        with pytest.raises(ValueError, match=r"\(t_i - t_j\)\(t_i - t_k\) overflows"):
+            flow.TimePath.make([(0, 1, 2), (0, 1, 1e160)])
+
     def test_min_gap_accounts_for_segment_interiors(self):
         # closest approach of t2 to t3 happens inside the segment
         path = flow.TimePath.make([(0.0, 1.0, 2.0 + 1.0j), (0.0, 3.0, 2.0 + 1.0j)])
@@ -280,6 +285,13 @@ class TestIntegrate:
             flow.integrate(pt, flow.TimePath.make([(0, 1, 2), (0, 1, 2.3)]))
         assert (info.value.arclength, info.value.q, info.value.p) == (0.0, pt.q, pt.p)
 
+    def test_far_pole_sets_no_clearance_of_its_own(self):
+        """The blow-up clearance follows the local pole gap, not the largest |t|."""
+        pt = fuchsian.PhasePoint.make(0.4, 0.1, (0.0, 1.0, 1e10), _kappa())
+        traj = flow.integrate(pt, flow.TimePath.make([(0, 1, 1e10), (0, 1, 2e10)]))
+        assert traj.samples[-1].t[2] == 2e10
+        assert flow.pvi_residual(traj).max() <= 1e-15
+
     def test_logs_one_debug_line(self, caplog):
         caplog.set_level(logging.DEBUG, logger="pvi.flow")
         path = flow.TimePath.make([(0, 1, 2), (0, 1, 2.3), (0, 1, 2.3), (0, 1, 2.3 + 0.2j)])
@@ -347,6 +359,13 @@ class TestPviResidual:
             ),
         )
         assert flow.pvi_residual(fake).max() > 1e-3
+
+    def test_non_finite_residual_is_an_error(self):
+        """At |x| ~ 1e100 the residual's x^4 overflows; it is refused, not returned."""
+        pt = fuchsian.PhasePoint.make(0.4, 0.1, (0.0, 1.0, 1e100), _kappa())
+        traj = flow.integrate(pt, flow.TimePath.make([(0, 1, 1e100), (0, 1, 2e100 + 1e100j)]))
+        with pytest.raises(ValueError, match="residual is not finite"):
+            flow.pvi_residual(traj)
 
     def test_rejects_moving_first_two_times(self):
         traj = flow.integrate(

@@ -80,6 +80,13 @@ def test_transport_reverses_to_inverse():
     assert np.max(np.abs(T_back @ T_fwd - np.eye(2))) < 1e-10
 
 
+def test_segment_pole_distance_of_a_huge_segment():
+    """No |d|^2 is formed, so a segment of length 1e300 does not overflow."""
+    assert fuchsian._segment_pole_distance(1e300 + 0j, 2e300 + 0j, 0.4 + 0j) == 1e300
+    assert fuchsian._segment_pole_distance(-1e300 + 0j, 1e300 + 0j, 3j) == 3.0
+    assert fuchsian._segment_pole_distance(1j, 1j, 0j) == 1.0
+
+
 def test_transport_refuses_path_through_pole():
     eq = _gauss_equation()
     with pytest.raises(fuchsian.PoleClearanceError):
@@ -211,7 +218,7 @@ class TestMonodromy:
     def test_raw_loop_eigenvalues(self):
         """Before normalization the loop at t1 has eigenvalues {1, e^{2 pi i k1}}."""
         eq = fuchsian.build_equation(self.pt)
-        loop = fuchsian.loop_around(eq, 0)
+        loop = fuchsian.loop_around(eq, 0, fuchsian._auto_basepoint(eq.poles))
         T = fuchsian.transport(eq, loop)
         got = sorted(np.linalg.eigvals(T), key=lambda u: (u.real, u.imag))
         want = sorted(
@@ -232,8 +239,34 @@ class TestMonodromy:
         assert np.max(drift) < 1e-8
 
 
-def test_apparent_singularity_of_the_true_equation():
-    assert fuchsian.apparent_check(_generic_phase_point()) < 1e-6
+def test_apparent_singularity_of_the_true_equation(monkeypatch):
+    """The check is algebraic: it integrates nothing."""
+    def no_integration(*args, **kwargs):
+        raise AssertionError("apparent_check integrated")
+
+    monkeypatch.setattr(fuchsian, "adaptive_rk", no_integration)
+    monkeypatch.setattr(fuchsian, "transport", no_integration)
+    assert fuchsian.apparent_check(_generic_phase_point()) < 1e-14
+
+
+def test_apparent_check_is_relative_at_large_p():
+    """At p = 1e5 the absolute obstruction is ~1e-6 of rounding; the relative one is not."""
+    k = params.Exponents.from_free(0.21, 0.33, 0.17, 0.11)
+    pt = fuchsian.PhasePoint.make(0.4 + 0.3j, 1e5, (0.0, 1.0, 2.0), k)
+    assert fuchsian.apparent_check(pt) <= 1e-14
+
+
+def test_corrupted_hamiltonian_breaks_apparent_check(monkeypatch):
+    hamiltonian = fuchsian._hamiltonian
+    monkeypatch.setattr(fuchsian, "_hamiltonian", lambda *args: hamiltonian(*args) + 0.1)
+    assert fuchsian.apparent_check(_generic_phase_point()) >= 1e-2
+
+
+def test_true_equation_has_no_monodromy_at_q():
+    """The numeric loop around q agrees with the closed-form obstruction."""
+    eq = fuchsian.build_equation(_generic_phase_point())
+    T = fuchsian._loop_transport(eq, 3, fuchsian._auto_basepoint(eq.poles))
+    assert np.linalg.norm(T - np.eye(2)) < 1e-9
 
 
 def test_corrupted_residue_breaks_apparency():
@@ -243,7 +276,7 @@ def test_corrupted_residue_breaks_apparency():
     bad = fuchsian.FuchsianEquation(
         eq.poles, eq.v1_residues, eq.v2_residues + np.array([0.1, 0, 0, 0])
     )
-    loop = fuchsian.loop_around(bad, 3)
+    loop = fuchsian.loop_around(bad, 3, fuchsian._auto_basepoint(bad.poles))
     T = fuchsian.transport(bad, loop)
     assert np.linalg.norm(T - np.eye(2)) > 1e-3
 
@@ -258,6 +291,8 @@ def test_corrupted_residue_breaks_apparency():
 )
 def test_loop_transport_inverts_the_tail(eq, basepoint, pole_indices):
     """Tail integrated once and inverted equals the whole polyline loop."""
+    if basepoint is None:
+        basepoint = fuchsian._auto_basepoint(eq.poles)
     for i in pole_indices:
         full = fuchsian.transport(eq, fuchsian.loop_around(eq, i, basepoint=basepoint))
         once = fuchsian._loop_transport(eq, i, basepoint)
@@ -272,7 +307,7 @@ def _golden_rh_point():
 
 class TestTransportSteps:
     def test_step_sequence_is_unchanged(self, monkeypatch):
-        """Accepted steps and RHS evaluations of monodromy, then apparent_check.
+        """Accepted steps and RHS evaluations of monodromy; apparent_check adds none.
 
         The counts were recorded while transport clamped every attempted
         step to 0.25 times the distance to the nearest pole; the first step
@@ -296,7 +331,7 @@ class TestTransportSteps:
         fuchsian.monodromy(pt)
         assert counts == [2229, 13935]
         fuchsian.apparent_check(pt)
-        assert counts == [2911, 18214]
+        assert counts == [2229, 13935]
 
     def test_later_steps_stay_inside_the_old_pole_clamp(self, monkeypatch):
         """After a leg's first step, every accepted step is at most half of
@@ -321,7 +356,7 @@ class TestTransportSteps:
         pt = _golden_rh_point()
         fuchsian.monodromy(pt)
         fuchsian.apparent_check(pt)
-        assert len(legs) == 100 and not pending
+        assert len(legs) == 75 and not pending
         margin = min(
             max(1e-12, 0.25 / abs(seg) * min(abs(z0 + s * seg - c) for c in poles)) / h
             for poles, z0, seg, steps in legs

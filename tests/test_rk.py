@@ -41,6 +41,12 @@ def test_pole_on_path_underflows():
         rk.adaptive_rk(lambda s, y: y**2, np.array([1.0 + 0j]), 0.0, 2.0)
 
 
+def test_overflowing_attempts_are_rejected_without_a_warning():
+    """y' = y^2 from y(0) = 1e200 overflows every attempt a step can make."""
+    with pytest.raises(rk.StepUnderflowError, match="underflowed"):
+        rk.adaptive_rk(lambda s, y: y * y, np.array([1e200 + 0j]), 0.0, 1.0)
+
+
 def test_max_steps_exhaustion_raises():
     with pytest.raises(rk.StepUnderflowError):
         rk.adaptive_rk(

@@ -26,6 +26,7 @@ REPRESENTATIVES = [
     (0.0, 0.0, 0.0, 0.0, 1.0),
 ]
 
+# classify_stratum takes the points in closed form (params.reducible_points).
 print("stratum table (kappa -> surface degeneration)")
 print(f"{'kappa':44s} {'type':7s} {'|I|':>3s} {'singular points':>15s}")
 for row in REPRESENTATIVES:
@@ -37,7 +38,8 @@ for row in REPRESENTATIVES:
           f"{n_sing:15d}")
 
 # The deepest stratum carries a single D4 point.  Its theta values are
-# integers, and the singular point sits at the corner (2, 2, 2).
+# integers, and the singular point sits at the corner (2, 2, 2);
+# cubic.singular_points solves for it from theta alone.
 kappa = params.Exponents(0.0, 0.0, 0.0, 0.0, 1.0)
 theta = params.rh_param(kappa)
 report = cubic.singular_points(theta)

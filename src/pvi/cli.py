@@ -62,9 +62,7 @@ def cmd_classify(args):
     if "kappa" in data or "kappa_free" in data:
         kappa = serialize.decode_exponents(data)
         label = params.classify_stratum(kappa)
-        lift = serialize.encode_complex(
-            cubic.discriminant_lift(params.kappa_to_a(kappa))
-        )
+        lift = serialize.encode_complex(cubic.discriminant_lift(params.kappa_to_a(kappa)))
     elif "theta" in data:
         theta = serialize.decode_complex_seq(data["theta"], 4)
         lift = None
@@ -76,7 +74,7 @@ def cmd_classify(args):
         "discriminant_lift": lift,
         "stratum": label.dynkin_type,
         "index_set_size": label.index_set_size,
-        "singular_points": serialize.encode_singular_report(label.report)["points"],
+        "singular_points": serialize.encode_singular_points(label.report.points),
     }
     _emit(args, payload)
     return 0

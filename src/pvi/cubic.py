@@ -452,55 +452,55 @@ def _merge_close(points, theta, radius):
     return [x for x, _ in kept]
 
 
-#: singular_points refuses a theta with a component of larger modulus.  In
-#: a scan of 300 directions (kappa on an A1, 2A1 or 3A1 wall with growing
-#: imaginary parts on the other components) the first wrong stratum came
-#: at |theta| = 1.7e8; the bound keeps a margin of 170 below that.
+#: checked_theta's bound on max|theta_i|: on kappa on A1, 2A1 and 3A1 walls
+#: with growing imaginary parts, the first wrong stratum came at 1.7e8.
 _THETA_BOUND = 1e6
+
+
+def checked_theta(theta):
+    """theta as an array; ValueError when max|theta_i| > _THETA_BOUND or not finite."""
+    theta = _theta_array(theta)
+    if not float(np.max(np.abs(theta))) <= _THETA_BOUND:
+        entries = ", ".join(f"{complex(z):.3g}" for z in theta)
+        raise ValueError(f"theta ({entries}) is out of range: singular points are "
+                         f"computed for max|theta_i| <= {_THETA_BOUND:.0e}")
+    return theta
+
+
+def typed_report(theta, xs):
+    """The report of singular points xs of S(theta): merged at 1e-4, typed, by Re x."""
+    points = [SingularPoint(x, *_local_type(x)) for x in _merge_close(xs, theta, 1e-4)]
+    return SingularPointReport(theta, tuple(sorted(points, key=lambda p: tuple(p.x.real))))
 
 
 def singular_points(theta):
     """Singular points of S(theta) with local ADE data.
 
-    theta must satisfy max|theta_i| <= _THETA_BOUND = 1e6; a larger (or
-    non-finite) theta raises ValueError.  Critical points of f (elimination
-    plus one Newton pass on grad_f = 0 per root) with |f| <= 1e-7 max(1,
-    max|theta_i|) lie on the surface; they are merged once at distance
-    1e-4, as stalled endpoints of one degenerate root can sit ~eps^(1/3)
-    apart, and typed.  More than 4 points or a total Milnor
-    number above 4 raises NoConvergenceError.  The |f| band is wider than
-    rounding: the critical value vanishes to second order in the distance
-    of kappa from a wall, so a point is still reported a few 1e-3 from one
-    (measured: up to 3.2e-3 for a real offset, 5.9e-3 for an imaginary
-    one), where params.on_wall is False.
+    theta must pass checked_theta.  Critical points of f (elimination plus
+    one Newton pass on grad_f = 0 per root) with |f| <= 1e-7 max(1,
+    max|theta_i|) lie on the surface; typed_report merges them once at
+    distance 1e-4, as stalled endpoints of one degenerate root can sit
+    ~eps^(1/3) apart, and types them.  More than 4 points or a total
+    Milnor number above 4 raises NoConvergenceError.  The |f| band is
+    wider than rounding: theta = rh_param(kappa) shows a node up to a few
+    1e-3 (5.9e-3 measured) from a wall; params.reducible_points has none.
     """
-    theta = _theta_array(theta)
-    size = float(np.max(np.abs(theta)))
-    if not size <= _THETA_BOUND:
-        raise ValueError(
-            f"theta ({', '.join(f'{complex(z):.3g}' for z in theta)}) is out "
-            f"of range: singular points are computed for max|theta_i| <= "
-            f"{_THETA_BOUND:.0e}"
-        )
-    scale = max(1.0, size)
+    theta = checked_theta(theta)
+    scale = max(1.0, float(np.max(np.abs(theta))))
     counts = {}
     on_surface = [
         x for x in critical_points(theta, counts)
         if abs(eval_f(x, theta)) <= 1e-8 * scale * 10.0
     ]
-    points = [
-        SingularPoint(x, *_local_type(x))
-        for x in _merge_close(on_surface, theta, 1e-4)
-    ]
+    report = typed_report(theta, on_surface)
     log.debug(
         "singular_points: %d candidates, %d closed-form, %d lstsq restarts, %d kept",
         counts["candidates"], counts["candidates"] - counts["restarts"],
-        counts["restarts"], len(points),
+        counts["restarts"], len(report.points),
     )
-    if len(points) > 4 or sum(p.milnor for p in points) > 4:
+    if len(report.points) > 4 or sum(p.milnor for p in report.points) > 4:
         raise NoConvergenceError(
             "more singular structure than the family admits; refinement "
             "likely failed for this theta"
         )
-    points.sort(key=lambda p: (p.x[0].real, p.x[1].real, p.x[2].real))
-    return SingularPointReport(theta, tuple(points))
+    return report

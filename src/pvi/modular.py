@@ -22,6 +22,7 @@ import numpy as np
 from . import cubic
 
 ESCAPE_BOUND = 1e100
+_FIXED_TOL = 1e-8  # fixed_point_check's bound on |w(x) - x|
 
 
 class EscapeError(RuntimeError):
@@ -193,8 +194,8 @@ def braid_to_modular(braid, orientation="fwd"):
     raise ValueError("orientation must be 'fwd' or 'inv'")
 
 
-def fixed_point_check(word, point, tol=1e-8):
-    """True when the level-two word moves point.x by at most tol.
+def fixed_point_check(word, point):
+    """True when the level-two word moves point.x by at most _FIXED_TOL.
 
     Raises NotLevelTwoError for words that permute theta: those cannot fix
     any point with distinct theta components and the comparison would be
@@ -204,7 +205,7 @@ def fixed_point_check(word, point, tol=1e-8):
     if not is_level_two(word):
         raise NotLevelTwoError("word is not level-two: it permutes theta")
     image = apply_word(word, point)
-    return bool(np.max(np.abs(image.x - point.x)) <= tol)
+    return bool(np.max(np.abs(image.x - point.x)) <= _FIXED_TOL)
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,13 @@ kappa by the reflections sigma_i(k_j) = k_j - k_i * C[i][j], so the composite
 kappa -> a -> theta is the Riemann-Hilbert correspondence in the parameter
 level.  kappa lies on a reflecting hyperplane (a wall) exactly when one of
 the twelve positive-root values of D4 at kappa is an integer, and exactly
-then the cubic surface is singular; on_wall decides it from those values,
-and strata are labeled geometrically from the singular points of the cubic.
+then the cubic surface is singular: reducible_points gives its singular
+points in closed form, and on_wall and classify_stratum both read it.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import operator
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ class UnclassifiableError(RuntimeError):
 
 
 def _affine_tol(k):
-    """Absolute tolerance of the affine relation and of on_wall at kappa k."""
+    """Absolute tolerance of the affine relation and of the walls at kappa k."""
     return 1e-9 * max(1.0, max(abs(ki) for ki in k))
 
 
@@ -145,22 +146,45 @@ def weyl_apply(word, kappa):
     return out
 
 
-def on_wall(kappa):
-    """True iff kappa lies on a reflecting hyperplane of W(D4(1)).
+def reducible_points(kappa):
+    """The distinct singular points of S(rh_param(kappa)), in closed form.
 
-    That is, iff a positive-root value of D4 (centre k0, legs k1, k2, k3)
-    lies within _affine_tol of an integer: a leg, k0 plus any subset of the
-    legs, or 2 k0 + k1 + k2 + k3 = 1 - k4.  k0 comes from k1..k4 through
-    the affine relation, so a kappa that breaks it is read by its free part.
+    They are the traces of reducible representations and of those with a
+    scalar local monodromy (Iwasaki 2002; Inaba-Iwasaki-Saito 2004): signs
+    e in {+1, -1}^3 with (e . (k1, k2, k3) + k4 + 1) / 2 an integer give
+    x_i = 2 cos(pi (e_j k_j + e_k k_k)) for {i, j, k} = {1, 2, 3}, and an
+    integer k_i gives (a_i / 2) (a4, a3, a2), (a3, a4, a1), (a2, a1, a4) or
+    (a1, a2, a3) for i = 1..4.  These twelve conditions, each tested within
+    _affine_tol on k1..k4 alone, say that a positive-root value of D4 is an
+    integer.  Points within 1e-9 relative of an earlier one are dropped.
+    ValueError when the traces overflow, as in kappa_to_a.
     """
     k = _kappa_array(kappa)
-    k0 = (1.0 - (k[1] + k[2] + k[3] + k[4])) / 2.0
-    legs = tuple(k[1:4])
-    values = [*legs, 2 * k0 + sum(legs)] + [
-        k0 + sum(subset) for r in range(4) for subset in itertools.combinations(legs, r)
-    ]
-    distance = min(abs(v - round(v.real)) for v in values)
-    return bool(distance <= _affine_tol([k0, *k[1:]]))
+    a = kappa_to_a(k).tolist()
+    *legs, k4 = free = k[1:].tolist()
+    tol = _affine_tol([(1.0 - sum(free)) / 2.0, *free])
+
+    def integer(v):
+        return abs(v - round(v.real)) <= tol
+
+    points = []
+    for signs in itertools.product((1, -1), repeat=3):
+        u1, u2, u3 = (e * ki for e, ki in zip(signs, legs))
+        if integer((u1 + u2 + u3 + k4 + 1) / 2):
+            points.append([2 * cmath.cos(cmath.pi * u) for u in (u2 + u3, u3 + u1, u1 + u2)])
+    for i, perm in enumerate(((3, 2, 1), (2, 3, 0), (1, 0, 3), (0, 1, 2))):
+        if integer(free[i]):
+            points.append([a[i] / 2 * a[j] for j in perm])
+    distinct = []
+    for x in map(np.array, points):
+        if all(np.max(np.abs(x - y)) > 1e-9 * max(1.0, np.max(np.abs(y))) for y in distinct):
+            distinct.append(x)
+    return distinct
+
+
+def on_wall(kappa):
+    """True iff kappa lies on a reflecting hyperplane of W(D4(1))."""
+    return bool(reducible_points(kappa))
 
 
 @dataclass(frozen=True)
@@ -178,13 +202,13 @@ class StratumLabel:
 
 
 def classify_stratum(kappa):
-    """Label the stratum of kappa from the geometry of the cubic surface.
+    """The StratumLabel of kappa from its reducible_points, with no Weyl-group witness.
 
-    The singular points of S(rh_param(kappa)) are computed and labeled by
-    label_stratum.  This realizes the classification of singularities by
-    Dynkin subdiagrams without searching for a Weyl-group witness.
+    rh_param(kappa) must pass cubic.checked_theta, and cubic.typed_report
+    merges and types the points, as for cubic.singular_points.
     """
-    return label_stratum(cubic.singular_points(rh_param(kappa)))
+    theta = cubic.checked_theta(rh_param(kappa))
+    return label_stratum(cubic.typed_report(theta, reducible_points(kappa)))
 
 
 def label_stratum(report):
@@ -192,8 +216,7 @@ def label_stratum(report):
 
     The local types are combined: k separate nodes give kA1, a single
     higher point gives its own type.  Any other configuration matches no
-    subdiagram of D4(1) and raises UnclassifiableError; singular_points
-    already refuses a total Milnor number above 4.
+    subdiagram of D4(1) and raises UnclassifiableError.
     """
     pts = report.points
     if not pts:

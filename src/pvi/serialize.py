@@ -151,17 +151,10 @@ def write_trajectory_csv(fh, traj, residuals=None):
     fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in cols)
 
 
-def encode_singular_report(report):
-    """Wall data of a cubic surface as plain JSON types."""
-    return {
-        "theta": encode_complex_seq(report.theta),
-        "points": [
-            {
-                "x": encode_complex_seq(p.x),
-                "type": p.local_type,
-                "milnor": p.milnor,
-                "hessian_corank": p.hessian_corank,
-            }
-            for p in report.points
-        ],
-    }
+def encode_singular_points(points):
+    """Singular points of a cubic surface as plain JSON types."""
+    return [
+        {"x": encode_complex_seq(p.x), "type": p.local_type, "milnor": p.milnor,
+         "hessian_corank": p.hessian_corank}
+        for p in points
+    ]

@@ -2,19 +2,24 @@
 
 `cli_corpus.json` holds, for each command line below, the exit code and
 the stdout and stderr text of one in-process `pvi.cli.main` call.
-`tests/test_golden.py` replays the command lines and compares.  Record
-the corpus again, from the root of a source checkout, only when an
-output is meant to change:
+`tests/test_golden.py` replays the command lines and compares them by
+`same`.  Record the corpus again, from the root of a source checkout, when
+an output is meant to change:
 
     PYTHONPATH=src python tests/golden/cli_corpus.py
+
+The recorder keeps every committed entry that still replays, so only the
+entries whose output really changed are written anew.
 """
 
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 
 CORPUS = Path(__file__).with_name("cli_corpus.json")
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
 
 # kappa = (k0, ..., k4) of one representative per stratum.
 STRATA = (
@@ -82,12 +87,39 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def record():
+def _split(text):
+    """The text with each number replaced by '#', and the numbers."""
+    return NUMBER.sub("#", text), [float(m) for m in NUMBER.findall(text)]
+
+
+def same(got, want):
+    """The replay rule: the same text outside numbers, and each number w
+    matched within 1e-10 * max(1, |w|)."""
+    got_text, got_numbers = _split(got)
+    want_text, want_numbers = _split(want)
+    return (got_text == want_text and len(got_numbers) == len(want_numbers)
+            and all(abs(g - w) <= 1e-10 * max(1.0, abs(w))
+                    for g, w in zip(got_numbers, want_numbers)))
+
+
+def record(path=CORPUS):
+    """Write the corpus at path, keeping each entry there that still replays.
+
+    An entry is kept when its argv and exit code are the ones of a new run
+    and `same` holds for its stdout and stderr, so host noise in the last
+    digits never enters a new recording.
+    """
+    committed = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+    by_argv = {json.dumps(e["argv"]): e for e in committed}
     entries = []
     for argv in command_lines():
         code, out, err = run(argv)
-        entries.append({"argv": argv, "exit": code, "stdout": out, "stderr": err})
-    CORPUS.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
+        old = by_argv.get(json.dumps(argv))
+        if old and old["exit"] == code and same(out, old["stdout"]) and same(err, old["stderr"]):
+            entries.append(old)
+        else:
+            entries.append({"argv": argv, "exit": code, "stdout": out, "stderr": err})
+    path.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
     return len(entries)
 
 

@@ -88,7 +88,7 @@ def test_criterion_03_most_singular_example():
         corank = p.hessian_corank
         ambient = modular.AmbientPoint.make([2.0, 2.0, 2.0], [8.0, 8.0, 8.0, 28.0])
         fixed = all(
-            modular.fixed_point_check([i, i], ambient, tol=1e-8) for i in (1, 2, 3)
+            modular.fixed_point_check([i, i], ambient) for i in (1, 2, 3)
         )
     elapsed = time.perf_counter() - start
     ok = (
@@ -129,7 +129,7 @@ def test_criterion_04_stratification_battery():
         label = params.classify_stratum(k)
         if label.dynkin_type != expected:
             failures.append(f"{expected} got {label.dynkin_type}")
-        if params.on_wall(k) != bool(label.report.points):
+        if params.on_wall(k) != bool(cubic.singular_points(params.rh_param(k))):
             failures.append(f"{expected}: wall/singular disagreement")
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 10.0

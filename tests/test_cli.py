@@ -397,9 +397,16 @@ def test_classify_kappa_and_theta_agree(kappa, label, capsys):
     by_kappa = _classify({"kappa": list(kappa)}, capsys)
     by_theta = _classify({"theta": [[z.real, z.imag] for z in theta]}, capsys)
     assert by_kappa["stratum"] == label
-    for key in ("stratum", "index_set_size", "on_wall", "singular_points"):
+    for key in ("stratum", "index_set_size", "on_wall"):
         assert by_theta[key] == by_kappa[key]
     assert by_kappa["on_wall"] is (label != "smooth")
+    # kappa is answered in closed form, theta by Newton: the points agree
+    # within 1e-12 relative, not byte for byte
+    assert len(by_theta["singular_points"]) == len(by_kappa["singular_points"])
+    for got, want in zip(by_theta["singular_points"], by_kappa["singular_points"]):
+        assert {**got, "x": None} == {**want, "x": None}
+        x, y = (np.array([complex(*z) for z in p["x"]]) for p in (got, want))
+        assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
 
 
 def test_classify_theta_rejects_a_configuration_of_no_stratum(monkeypatch, capsys):

@@ -1,12 +1,12 @@
 """`pvi` reproduces the recorded output of tests/golden/cli_corpus.json.
 
-Exit codes and every field that is not a number must match exactly; each
-number must match within 1e-10 * max(1, |recorded value|).
+Exit codes must match exactly, and stdout and stderr by cli_corpus.same:
+every field that is not a number exactly, each number within
+1e-10 * max(1, |recorded value|).
 """
 
 import importlib.util
 import json
-import re
 from pathlib import Path
 
 import pytest
@@ -17,26 +17,30 @@ cli_corpus = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(cli_corpus)
 
 ENTRIES = json.loads(cli_corpus.CORPUS.read_text(encoding="utf-8"))
-NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
-
-
-def _split(text):
-    """The text with each number replaced by '#', and the numbers."""
-    return NUMBER.sub("#", text), [float(m) for m in NUMBER.findall(text)]
-
-
-def _assert_same(got, want):
-    got_text, got_numbers = _split(got)
-    want_text, want_numbers = _split(want)
-    assert got_text == want_text
-    assert len(got_numbers) == len(want_numbers)
-    for g, w in zip(got_numbers, want_numbers):
-        assert abs(g - w) <= 1e-10 * max(1.0, abs(w)), (g, w)
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=[f"{i}-{e['argv'][0]}" for i, e in enumerate(ENTRIES)])
 def test_output_matches_the_recorded_corpus(entry):
     code, out, err = cli_corpus.run(entry["argv"])
     assert code == entry["exit"]
-    _assert_same(out, entry["stdout"])
-    _assert_same(err, entry["stderr"])
+    assert cli_corpus.same(out, entry["stdout"]), (out, entry["stdout"])
+    assert cli_corpus.same(err, entry["stderr"]), (err, entry["stderr"])
+
+
+def _perturbed(text, rel):
+    return cli_corpus.NUMBER.sub(lambda m: repr(float(m.group()) * (1 + rel)), text)
+
+
+@pytest.mark.parametrize("rel, kept", [(1e-13, True), (1e-8, False)])
+def test_recorder_keeps_an_entry_that_still_replays(rel, kept, tmp_path, monkeypatch):
+    """A committed entry off by rounding is kept byte for byte; one off by more is rewritten."""
+    argv = ["classify", "--input", json.dumps({"theta": [8, 8, 8, 28]})]
+    code, out, err = cli_corpus.run(argv)
+    committed = {"argv": argv, "exit": code, "stdout": _perturbed(out, rel), "stderr": err}
+    assert committed["stdout"] != out
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([committed], indent=1) + "\n", encoding="utf-8")
+    monkeypatch.setattr(cli_corpus, "command_lines", lambda: [argv])
+    assert cli_corpus.record(path) == 1
+    (entry,) = json.loads(path.read_text(encoding="utf-8"))
+    assert entry["stdout"] == (committed["stdout"] if kept else out)

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pvi import cubic, params
@@ -119,13 +119,18 @@ def _root_values(k):
     return [sum(c * ki for c, ki in zip(root, k)) for root in ROOTS]
 
 
+def _on_a_wall(k, root):
+    """kappa from (k0, k1, k2, k3) with one root value moved onto the integers."""
+    value = _root_values(k)[ROOTS.index(root)]
+    k[root.index(1)] += round(value) - value
+    return params.Exponents(*k, 1 - 2 * k[0] - k[1] - k[2] - k[3])
+
+
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(k=st.lists(COMPONENT, min_size=4, max_size=4), root=st.sampled_from(ROOTS))
 def test_kappa_built_on_a_wall_is_on_it_and_singular(k, root):
     """One root value moved onto the integers: on a wall, S(theta) singular."""
-    value = _root_values(k)[ROOTS.index(root)]
-    k[root.index(1)] += round(value) - value
-    kappa = params.Exponents(*k, 1 - 2 * k[0] - k[1] - k[2] - k[3])
+    kappa = _on_a_wall(k, root)
     assert params.on_wall(kappa)
     assert cubic.singular_points(params.rh_param(kappa))
 
@@ -161,4 +166,54 @@ def test_stratification_battery(kappa, expected, milnor):
     label = params.classify_stratum(k)
     assert label.dynkin_type == expected
     assert label.index_set_size == milnor
-    assert params.on_wall(k) == bool(label.report.points)
+    assert params.on_wall(k) == bool(cubic.singular_points(params.rh_param(k)))
+
+
+WORD = st.lists(st.integers(0, 4), min_size=1, max_size=8)
+FREE = st.lists(COMPONENT, min_size=4, max_size=4)
+IMAG = st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(free=FREE, imag=IMAG, i=st.integers(0, 4))
+def test_each_reflection_is_an_involution(free, imag, i):
+    k = params.Exponents.from_free(*(x + 1j * y for x, y in zip(free, imag)))
+    twice = params.weyl_reflect(i, params.weyl_reflect(i, k)).as_array()
+    assert np.max(np.abs(twice - k.as_array())) <= 1e-12 * max(1.0, np.max(np.abs(k.as_array())))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(free=FREE, imag=IMAG, word=WORD)
+def test_rh_param_is_constant_on_weyl_orbits(free, imag, word):
+    k = params.Exponents.from_free(*(x + 1j * y for x, y in zip(free, imag)))
+    theta = params.rh_param(k)
+    image = params.rh_param(params.weyl_apply(word, k))
+    assert np.max(np.abs(image - theta)) <= 1e-12 * max(1.0, np.max(np.abs(theta)))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(k=FREE, root=st.sampled_from(ROOTS), word=WORD)
+def test_a_wall_kappa_and_its_weyl_image_have_one_stratum(k, root, word):
+    kappa = _on_a_wall(k, root)
+    label = params.classify_stratum(kappa)
+    image = params.classify_stratum(params.weyl_apply(word, kappa))
+    assert label.dynkin_type != "smooth"
+    assert (image.dynkin_type, image.index_set_size) == (label.dynkin_type, label.index_set_size)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(k=FREE, root=st.sampled_from(ROOTS))
+def test_reducible_points_are_singular_points_of_the_surface(k, root):
+    """Exact to rounding on walls.  A root value within _affine_tol of an
+    integer but off it counts as a wall too, and its point is off by about
+    that distance, so such kappa are not drawn."""
+    kappa = _on_a_wall(k, root)
+    distances = [abs(v - round(v)) for v in _root_values(kappa.as_array()[:4].real)]
+    assume(all(d <= 1e-14 or d > 1e-8 for d in distances))
+    theta = params.rh_param(kappa)
+    points = params.reducible_points(kappa)
+    assert points
+    for x in points:
+        scale = max(1.0, np.max(np.abs(theta)), np.max(np.abs(x)) ** 2)
+        assert abs(cubic.eval_f(x, theta)) <= 1e-12 * scale
+        assert np.max(np.abs(cubic.grad_f(x, theta))) <= 1e-12 * scale

@@ -148,38 +148,6 @@ class Trajectory:
         )
 
 
-def _numpy_quotients(x, y, d):
-    """(x / d, y / d) for Python complex scalars, rounded as numpy rounds them.
-
-    CPython's complex division is another algorithm than numpy's, and the
-    two differ in the last bit of about 43% of quotients; one bit in the
-    field moves the step sequence of an integration.  This is the Smith
-    division of numpy's complex128 scalars, with the ratio and the scale
-    of d shared by both numerators.  A zero or nan d, which no valid time
-    path produces but an underflowed product can, goes to numpy itself
-    and gives its inf or nan, without a warning.
-    """
-    dr, di = d.real, d.imag
-    try:
-        if abs(dr) >= abs(di):
-            rat = di / dr
-            scl = 1.0 / (dr + di * rat)
-            return (
-                complex((x.real + x.imag * rat) * scl, (x.imag - x.real * rat) * scl),
-                complex((y.real + y.imag * rat) * scl, (y.imag - y.real * rat) * scl),
-            )
-        rat = dr / di
-        scl = 1.0 / (di + dr * rat)
-        return (
-            complex((x.real * rat + x.imag) * scl, (x.imag * rat - x.real) * scl),
-            complex((y.real * rat + y.imag) * scl, (y.imag * rat - y.real) * scl),
-        )
-    except ZeroDivisionError:
-        with np.errstate(all="ignore"):
-            d = np.complex128(d)
-            return complex(np.complex128(x) / d), complex(np.complex128(y) / d)
-
-
 def _field_constants(kappa):
     """(kk, b) of _field as Python complex: (k1, k2, k3) and k0 (k0 + k4)."""
     k0, k1, k2, k3, k4 = (
@@ -191,9 +159,9 @@ def _field_constants(kappa):
 def _field(q, p, t, kk, b, dt):
     """Contraction of the Hamiltonian vector field with a t-direction dt.
 
-    Every argument is a Python complex scalar or a sequence of three; the
-    result equals, bit for bit, the same formula on numpy complex128
-    values, overflow giving inf or nan and no warning.
+    Every argument is a Python complex scalar or a sequence of three.
+    Overflow gives inf or nan, and a divisor (t_i - t_j)(t_i - t_k) that
+    underflows to 0 gives nan, so that adaptive_rk rejects the attempt.
     """
     qs = (q - t[0], q - t[1], q - t[2])
     u = qs[0] * qs[1] * qs[2]
@@ -205,6 +173,8 @@ def _field(q, p, t, kk, b, dt):
             continue
         j0, k0 = (i0 + 1) % 3, (i0 + 2) % 3
         di = (t[i0] - t[j0]) * (t[i0] - t[k0])
+        if di == 0.0:
+            return complex("nan"), complex("nan")
         wi = (
             (kk[i0] - 1.0) * qs[j0] * qs[k0]
             + kk[j0] * qs[k0] * qs[i0]
@@ -215,11 +185,9 @@ def _field(q, p, t, kk, b, dt):
             + kk[j0] * (qs[k0] + qs[i0])
             + kk[k0] * (qs[i0] + qs[j0])
         )
-        fq, fp = _numpy_quotients(
-            dt[i0] * (2.0 * u * p - wi), dt[i0] * (uq * p * p - wiq * p + b), di
-        )
-        dq += fq
-        dp -= fp
+        r = dt[i0] / di
+        dq += r * (2.0 * u * p - wi)
+        dp -= r * (uq * p * p - wiq * p + b)
     return dq, dp
 
 

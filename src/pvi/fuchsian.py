@@ -83,9 +83,6 @@ class PhasePoint:
         """The four finite singular points t1, t2, t3, q."""
         return np.array([self.t[0], self.t[1], self.t[2], self.q])
 
-    def min_pole_gap(self):
-        return _min_gap(self.poles())
-
 
 def hamiltonian(i, pt):
     """H_i(q, p, t; kappa), polynomial in (q, p)."""

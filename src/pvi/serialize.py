@@ -84,13 +84,6 @@ def decode_phase_point(obj):
     )
 
 
-def encode_ambient_point(point):
-    return {
-        "x": encode_complex_seq(point.x),
-        "theta": encode_complex_seq(point.theta),
-    }
-
-
 def decode_ambient_point(obj):
     _require_object(obj, "an ambient point")
     return modular.AmbientPoint.make(

@@ -20,8 +20,8 @@ RH_INPUT = (
     '"kappa_free": [0.21,0.33,0.17,0.11]}'
 )
 # RHS evaluations of `pvi rh` on RH_INPUT, as measured when the count-based
-# bound below was set: four loops of 25 legs (tail once, 24 chords).
-RH_RHS_EVALS = 17290
+# bound below was last set: three loops of 25 legs (tail once, 24 chords).
+RH_RHS_EVALS = 13077
 MONODROMY_INPUT = (
     '{"point": {"q": [0.4,0.3], "p": [0.2,-0.5], "t": [0,1,2], '
     '"kappa_free": [0.21,0.33,0.17,0.11]}, "braid": "1 1"}'
@@ -292,6 +292,9 @@ def test_rh_right_hand_side_evaluations_stay_bounded(tmp_path, monkeypatch):
         ("flow", MONODROMY_INPUT.replace('"t": [0,1,2]', '"t": [0,1,1e100]').replace(
             '"p": [0.2,-0.5]', '"p": [0.1,0]').replace(
             '"braid": "1 1"', '"path": [[0,1,1e100],[0,1,[2e100,1e100]]]')),
+        # every (t_i - t_j)(t_i - t_k) underflows to 0, so the field is nan
+        ("flow", MONODROMY_INPUT.replace('"t": [0,1,2]', '"t": [0,1e-170,2e-170]').replace(
+            '"braid": "1 1"', '"path": [[0,1e-170,2e-170],[0,1e-170,3e-170]]')),
     ],
     ids=[
         "inline-array", "scalar-t", "nan-kappa-free", "inf-q", "nan-p", "inf-t", "nan-kappa",
@@ -301,6 +304,7 @@ def test_rh_right_hand_side_evaluations_stay_bounded(tmp_path, monkeypatch):
         "rh-p-1e160", "rh-q-1e200", "rh-t3-1e300", "flow-p-1e300", "monodromy-p-1e300",
         "backlund-kappa-imag-300", "classify-kappa-imag-1e300",
         "flow-t3-1e300", "flow-t3-to-1e100", "flow-t3-1e100-residual",
+        "flow-t-underflowed-divisor",
     ],
 )
 @pytest.mark.filterwarnings("error")

@@ -111,7 +111,6 @@ class TestPhasePoint:
     def test_poles_and_gap(self):
         pt = _generic_phase_point()
         assert list(pt.poles()) == [0.0, 1.0, 2.0, pt.q]
-        assert 0.0 < pt.min_pole_gap() <= 1.0
 
     def test_min_gap_takes_an_array_or_python_scalars(self):
         points = [0j, 1 + 0j, 0.5 + 0.1j]

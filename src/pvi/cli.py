@@ -116,12 +116,10 @@ def cmd_orbit(args):
     samples = modular.orbit(point, word, n)
     with _output(args.out) as fh:
         serialize.write_orbit_csv(fh, samples)
-    f_values = [
-        cubic.eval_f(s.point.x, s.point.theta) for s in samples
-    ]
-    scale = max(1.0, max(float(np.max(np.abs(s.point.x))) for s in samples))
-    drift = max(abs(f - f_values[0]) for f in f_values)
-    return 0 if drift <= tol * scale**3 else 1
+    scale = max(1.0, *(abs(z) for s in samples for z in s.point.x.tolist()))
+    drift = max(abs(s.f - samples[0].f) for s in samples)
+    # a product, not scale**3: a float ** raises OverflowError past 1e308
+    return 0 if drift <= tol * (scale * scale * scale) else 1
 
 
 def cmd_flow(args):

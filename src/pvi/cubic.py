@@ -46,10 +46,14 @@ def _x_array(x):
 
 
 def eval_f(x, theta):
-    """Evaluate the Fricke cubic at x."""
-    x1, x2, x3 = _x_array(x)
-    t1, t2, t3, t4 = _theta_array(theta)
-    return x1 * x2 * x3 + x1**2 + x2**2 + x3**2 - t1 * x1 - t2 * x2 - t3 * x3 + t4
+    """Evaluate the Fricke cubic at x, as a Python complex.
+
+    Squares are products: Python's complex ** raises OverflowError where
+    a product overflows to inf, and the bits are numpy's either way.
+    """
+    x1, x2, x3 = _x_array(x).tolist()
+    t1, t2, t3, t4 = _theta_array(theta).tolist()
+    return x1 * x2 * x3 + x1 * x1 + x2 * x2 + x3 * x3 - t1 * x1 - t2 * x2 - t3 * x3 + t4
 
 
 def grad_f(x, theta):

@@ -48,9 +48,6 @@ class AmbientPoint:
             raise ValueError("need three x and four theta components")
         return cls(x, theta)
 
-    def f_residual(self):
-        return float(abs(cubic.eval_f(self.x, self.theta)))
-
 
 def _cyclic(i):
     """0-based (i, j, k) for a 1-based generator index."""
@@ -59,28 +56,40 @@ def _cyclic(i):
     return i - 1, i % 3, (i + 1) % 3
 
 
+def _letter(letter, x, th):
+    """One letter of a word, in place on lists of Python complex.
+
+    Letter i is g_i and letter -i is g_i^{-1}, the inverse solved from the
+    forward formula.  Scalars cost far less than 3- and 4-element arrays
+    here, and their arithmetic is numpy's, so every bit stays the same.
+    """
+    i, j, k = _cyclic(abs(letter))
+    xi, xj = x[i], x[j]
+    if letter > 0:
+        x[i] = th[j] - xj - x[k] * xi
+        x[j] = xi
+    else:
+        x[i] = xj
+        x[j] = th[i] - xi - x[k] * xj
+    th[i], th[j] = th[j], th[i]
+
+
+def _apply_letter(letter, point):
+    x, th = point.x.tolist(), point.theta.tolist()
+    _letter(letter, x, th)
+    return AmbientPoint(np.array(x), np.array(th))
+
+
 def apply_generator(i, point):
     """The automorphism g_i."""
-    i0, j0, k0 = _cyclic(i)
-    x, th = point.x, point.theta
-    xn = x.copy()
-    thn = th.copy()
-    xn[i0] = th[j0] - x[j0] - x[k0] * x[i0]
-    xn[j0] = x[i0]
-    thn[i0], thn[j0] = th[j0], th[i0]
-    return AmbientPoint(xn, thn)
+    _cyclic(i)
+    return _apply_letter(i, point)
 
 
 def apply_inverse(i, point):
-    """The inverse automorphism g_i^{-1}, solved from the forward formula."""
-    i0, j0, k0 = _cyclic(i)
-    x, th = point.x, point.theta
-    xn = x.copy()
-    thn = th.copy()
-    xn[i0] = x[j0]
-    xn[j0] = th[i0] - x[i0] - x[k0] * x[j0]
-    thn[i0], thn[j0] = th[j0], th[i0]
-    return AmbientPoint(xn, thn)
+    """The inverse automorphism g_i^{-1}."""
+    _cyclic(i)  # -i is a letter for i = -1 too, so the index is checked here
+    return _apply_letter(-i, point)
 
 
 def jacobian(letter, point):
@@ -90,8 +99,11 @@ def jacobian(letter, point):
     The determinant is identically 1, which is what makes level-two words
     preserve the fiberwise residue form.
     """
+    return _jacobian(letter, point.x)
+
+
+def _jacobian(letter, x):
     i0, j0, k0 = _cyclic(abs(letter))
-    x = point.x
     J = np.zeros((3, 3), dtype=complex)
     if letter > 0:
         J[i0, i0] = -x[k0]
@@ -129,25 +141,27 @@ def parse_word(text):
 def apply_word(word, point, _tangent=None):
     """Apply a word left to right: the first letter acts first.
 
+    The letters run on Python scalars, converted from the point once.
     Raises EscapeError as soon as any coordinate magnitude exceeds
-    ESCAPE_BOUND; orbits of these automorphisms can genuinely blow up.
-    With _tangent set, the tangent vector is pushed forward through the
-    exact Jacobians alongside the point.
+    ESCAPE_BOUND or is not a number; orbits of these automorphisms can
+    genuinely blow up.  With _tangent set, the tangent vector is pushed
+    forward through the exact Jacobians alongside the point.
     """
     word = parse_word(word)
+    x, th = point.x.tolist(), point.theta.tolist()
     tangent = None if _tangent is None else np.asarray(_tangent, dtype=complex)
     for pos, letter in enumerate(word):
         if tangent is not None:
-            tangent = jacobian(letter, point) @ tangent
-        if letter > 0:
-            point = apply_generator(letter, point)
-        else:
-            point = apply_inverse(-letter, point)
-        m = float(np.max(np.abs(point.x)))
-        if not np.isfinite(m) or m > ESCAPE_BOUND:
+            tangent = _jacobian(letter, x) @ tangent
+        _letter(letter, x, th)
+        a, b, c = abs(x[0]), abs(x[1]), abs(x[2])
+        # a NaN fails every comparison, so it escapes as well
+        if not (a <= ESCAPE_BOUND and b <= ESCAPE_BOUND and c <= ESCAPE_BOUND):
+            m = float(np.max([a, b, c]))  # unlike max(), np.max reports a NaN
             raise EscapeError(
                 f"orbit escaped at letter {pos}: |x| reached {m:.3e}"
             )
+    point = AmbientPoint(np.array(x), np.array(th))
     if _tangent is not None:
         return point, tangent
     return point
@@ -208,25 +222,39 @@ def fixed_point_check(word, point):
     return bool(np.max(np.abs(image.x - point.x)) <= _FIXED_TOL)
 
 
+#: orbit's bound on n, so that its run time and memory are bounded: every
+#: sample is kept, about 600 bytes each, so 1e5 steps hold about 60 MB and
+#: `pvi orbit` takes about a second (2-vCPU Xeon).  The longest orbit in the
+#: tests, demos and benchmark has 500 steps.
+MAX_ORBIT_STEPS = 100_000
+
+
 @dataclass(frozen=True)
 class OrbitSample:
     step: int
     point: AmbientPoint
-    f_residual: float
+    f: complex  # f(x, theta) at the point
+
+    @property
+    def f_residual(self):
+        return abs(self.f)
 
 
 def orbit(point, word, n):
-    """The orbit point, w(point), ..., w^n(point) with f-residuals.
+    """The orbit point, w(point), ..., w^n(point) with their f values.
 
-    Requires a level-two word so that theta is constant along the orbit.
+    Requires a level-two word so that theta is constant along the orbit,
+    and 0 <= n <= MAX_ORBIT_STEPS.
     """
     word = parse_word(word)
     if not is_level_two(word):
         raise NotLevelTwoError("orbit needs a level-two word")
     if n < 0:
         raise ValueError("iteration count must be nonnegative")
-    samples = [OrbitSample(0, point, point.f_residual())]
+    if n > MAX_ORBIT_STEPS:
+        raise ValueError(f"iteration count n = {n} exceeds the bound {MAX_ORBIT_STEPS}")
+    samples = [OrbitSample(0, point, cubic.eval_f(point.x, point.theta))]
     for step in range(1, n + 1):
         point = apply_word(word, point)
-        samples.append(OrbitSample(step, point, point.f_residual()))
+        samples.append(OrbitSample(step, point, cubic.eval_f(point.x, point.theta)))
     return samples

@@ -112,13 +112,13 @@ def write_orbit_csv(fh, samples):
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(ORBIT_HEADER)
     for smp in samples:
-        x = smp.point.x
+        x1, x2, x3 = smp.point.x.tolist()
         writer.writerow([
             smp.step,
-            repr(float(x[0].real)), repr(float(x[0].imag)),
-            repr(float(x[1].real)), repr(float(x[1].imag)),
-            repr(float(x[2].real)), repr(float(x[2].imag)),
-            repr(float(smp.f_residual)),
+            repr(x1.real), repr(x1.imag),
+            repr(x2.real), repr(x2.imag),
+            repr(x3.real), repr(x3.imag),
+            repr(smp.f_residual),
         ])
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pvi import cli, cubic, fuchsian, params
+from pvi import cli, cubic, fuchsian, modular, params
 
 
 RH_INPUT = (
@@ -105,6 +105,16 @@ def test_orbit_writes_csv_and_checks_invariance(tmp_path):
     # the Fricke value is transported exactly, so the drift stays tiny
     drift = max(abs(float(r["f_residual"]) - float(rows[0]["f_residual"])) for r in rows)
     assert drift < 1e-10
+
+
+@pytest.mark.filterwarnings("error")
+def test_orbit_of_no_steps_at_a_huge_x_checks_without_overflow(capsys):
+    """|x| = 1e120 cubed is past the float range: the drift bound is inf, not an OverflowError."""
+    spec = '{"point": {"x": [1e120, 2, 3], "theta": [0, 0, 0, 0]}, "word": "1 1", "n": 0}'
+    assert cli.main(["orbit", "--input", spec]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1] == "0,1e+120,0.0,2.0,0.0,3.0,0.0,1e+240"
+    assert err == ""
 
 
 def test_orbit_rejects_non_level_two_word(capsys):
@@ -277,6 +287,11 @@ def test_rh_right_hand_side_evaluations_stay_bounded(tmp_path, monkeypatch):
         ("orbit", '{"point": [1], "word": "1 1", "n": 1}'),
         ("orbit", ORBIT_INPUT.replace('"word": "1 1 -2 -2"', '"word": 5')),
         ("orbit", ORBIT_INPUT.replace('"n": 6', '"n": [1]')),
+        # a fixed point: without the bound this would run and write every step
+        ("orbit", '{"point": {"x": [2, 2, 2], "theta": [8, 8, 8, 28]}, "word": "1 1", '
+                  f'"n": {modular.MAX_ORBIT_STEPS + 1}}}'),
+        # f at x1 = 1e200 overflows to inf on the way to the escape
+        ("orbit", '{"point": {"x": [1e200, 2, 3], "theta": [0, 0, 0, 0]}, "word": "1 1", "n": 3}'),
         ("rh", RH_INPUT.replace('"p": [0.2,-0.5]', '"p": 1e160')),
         ("rh", RH_INPUT.replace('"q": [0.4,0.3]', '"q": 1e200')),
         ("rh", RH_INPUT.replace('"t": [0,1,2]', '"t": [0,1,1e300]')),
@@ -300,7 +315,7 @@ def test_rh_right_hand_side_evaluations_stay_bounded(tmp_path, monkeypatch):
         "inline-array", "scalar-t", "nan-kappa-free", "inf-q", "nan-p", "inf-t", "nan-kappa",
         "classify-no-key", "flow-list-point", "flow-scalar-path", "monodromy-scalar-braid",
         "monodromy-string-point", "backlund-scalar-word", "backlund-nested-word",
-        "orbit-list-point", "orbit-scalar-word", "orbit-list-n",
+        "orbit-list-point", "orbit-scalar-word", "orbit-list-n", "orbit-n-above-bound", "orbit-x1-1e200",
         "rh-p-1e160", "rh-q-1e200", "rh-t3-1e300", "flow-p-1e300", "monodromy-p-1e300",
         "backlund-kappa-imag-300", "classify-kappa-imag-1e300",
         "flow-t3-1e300", "flow-t3-to-1e100", "flow-t3-1e100-residual",

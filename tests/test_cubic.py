@@ -304,6 +304,30 @@ def test_adjugate_step_is_the_lstsq_step(x1, x2, sign, exponent, phase, g):
     assert np.max(np.abs(got - want)) <= 1e-10 * float(np.max(np.abs(want)))
 
 
+@st.composite
+def _scaled_complex(draw):
+    scale = 10.0 ** draw(st.integers(-30, 30))
+    return scale * complex(draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(x=st.lists(_scaled_complex(), min_size=3, max_size=3),
+       theta=st.lists(_scaled_complex(), min_size=4, max_size=4))
+def test_eval_f_is_the_numpy_formula_bit_for_bit(x, theta):
+    """eval_f on Python scalars, with products for squares, is numpy's arithmetic."""
+    x1, x2, x3 = np.array(x)
+    t1, t2, t3, t4 = np.array(theta)
+    want = x1 * x2 * x3 + x1**2 + x2**2 + x3**2 - t1 * x1 - t2 * x2 - t3 * x3 + t4
+    got = cubic.eval_f(x, theta)
+    assert type(got) is complex
+    assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_eval_f_overflows_to_inf_without_a_warning():
+    assert cubic.eval_f([1e200, 2.0, 3.0], [0, 0, 0, 0]).real == np.inf
+
+
 def test_singular_points_logs_its_solve_counts(caplog):
     caplog.set_level(logging.DEBUG, logger="pvi.cubic")
     cubic.singular_points([8.0, 8.0, 8.0, 28.0])

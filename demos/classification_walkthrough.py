@@ -26,7 +26,8 @@ REPRESENTATIVES = [
     (0.0, 0.0, 0.0, 0.0, 1.0),
 ]
 
-# classify_stratum takes the points in closed form (params.reducible_points).
+# classify_stratum takes the points in closed form, each typed by its
+# component of the integral root subsystem (params.reducible_points).
 print("stratum table (kappa -> surface degeneration)")
 print(f"{'kappa':44s} {'type':7s} {'|I|':>3s} {'singular points':>15s}")
 for row in REPRESENTATIVES:

@@ -5,8 +5,8 @@
 
 `perfbench/` times whole `pvi` commands; these time one primitive each:
 a modular letter, the Fricke cubic, a 150-step orbit (the length of the
-benchmark's orbits), a singular-point solve, one transport leg and one
-braid return map.  Each checks its result, so a smoke run also catches
+benchmark's orbits), a singular-point solve, the closed-form stratum of a
+kappa, one transport leg and one braid return map.  Each checks its result, so a smoke run also catches
 a primitive that stopped working.  The directory is outside the
 `testpaths` of pyproject.toml: a plain `pytest` does not run it.
 """
@@ -56,6 +56,16 @@ def test_orbit_150_steps(benchmark):
 def test_singular_points_d4(benchmark):
     report = benchmark(cubic.singular_points, D4_THETA)
     assert [p.local_type for p in report.points] == ["D4"]
+
+
+@pytest.mark.parametrize("kappa, label", [
+    ((0.0, 0.0, 0.0, 0.0, 1.0), "D4"),
+    # three nodes 4e-9 apart near (2, 2, 2)
+    ((1e-5, 0.0, 0.0, 0.0, 1 - 2e-5), "3A1"),
+], ids=["D4", "3A1"])
+def test_classify_stratum_kappa(benchmark, kappa, label):
+    stratum = benchmark(params.classify_stratum, params.Exponents(*kappa))
+    assert stratum.dynkin_type == label
 
 
 def test_transport_one_leg(benchmark):

@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import json
 import logging
+import math
 import os
 import sys
 
@@ -114,6 +115,8 @@ def cmd_orbit(args):
         raise ValueError(f"n must be an integer, got {n!r}")
     tol = args.tol if args.tol is not None else 1e-8
     samples = modular.orbit(point, word, n)
+    if not all(math.isfinite(math.hypot(s.f.real, s.f.imag)) for s in samples):
+        raise ValueError("|f(x, theta)| overflows on the orbit: x is out of range")
     with _output(args.out) as fh:
         serialize.write_orbit_csv(fh, samples)
     scale = max(1.0, *(abs(z) for s in samples for z in s.point.x.tolist()))

@@ -381,6 +381,10 @@ def _kernel_polish(x, theta):
     return x
 
 
+#: Milnor number and Hessian corank of each ADE type of a singular point.
+ADE = {"A1": (1, 0), "A2": (2, 1), "A3": (3, 1), "D4": (4, 2)}
+
+
 def _local_type(x):
     """ADE type from the Hessian rank, with A2/A3 split on the kernel line.
 
@@ -393,15 +397,12 @@ def _local_type(x):
     _, sv, vh = np.linalg.svd(H)
     rank = int(np.sum(sv > 1e-8 * sv[0]))
     if rank == 3:
-        return "A1", 1, 0
+        return "A1"
     if rank == 2:
         v = vh[2].conj()  # right singular vector spanning the kernel
-        c3 = v[0] * v[1] * v[2]
-        if abs(c3) > 1e-6:
-            return "A2", 2, 1
-        return "A3", 3, 1
+        return "A2" if abs(v[0] * v[1] * v[2]) > 1e-6 else "A3"
     if rank == 1:
-        return "D4", 4, 2
+        return "D4"
     raise NoConvergenceError("Hessian rank 0 is impossible for this family")
 
 
@@ -471,21 +472,15 @@ def checked_theta(theta):
     return theta
 
 
-def typed_report(theta, xs):
-    """The report of singular points xs of S(theta): merged at 1e-4, typed, by Re x."""
-    points = [SingularPoint(x, *_local_type(x)) for x in _merge_close(xs, theta, 1e-4)]
-    return SingularPointReport(theta, tuple(sorted(points, key=lambda p: tuple(p.x.real))))
-
-
 def singular_points(theta):
     """Singular points of S(theta) with local ADE data.
 
     theta must pass checked_theta.  Critical points of f (elimination plus
     one Newton pass on grad_f = 0 per root) with |f| <= 1e-7 max(1,
-    max|theta_i|) lie on the surface; typed_report merges them once at
-    distance 1e-4, as stalled endpoints of one degenerate root can sit
-    ~eps^(1/3) apart, and types them.  More than 4 points or a total
-    Milnor number above 4 raises NoConvergenceError.  The |f| band is
+    max|theta_i|) lie on the surface.  They are merged once at distance
+    1e-4, as stalled endpoints of one degenerate root can sit ~eps^(1/3)
+    apart, and typed by their Hessian (_local_type).  More than 4 points or
+    a total Milnor number above 4 raises NoConvergenceError.  The |f| band is
     wider than rounding: theta = rh_param(kappa) shows a node up to a few
     1e-3 (5.9e-3 measured) from a wall; params.reducible_points has none.
     """
@@ -496,7 +491,9 @@ def singular_points(theta):
         x for x in critical_points(theta, counts)
         if abs(eval_f(x, theta)) <= 1e-8 * scale * 10.0
     ]
-    report = typed_report(theta, on_surface)
+    merged = _merge_close(on_surface, theta, 1e-4)
+    points = [SingularPoint(x, t, *ADE[t]) for x, t in zip(merged, map(_local_type, merged))]
+    report = SingularPointReport(theta, tuple(sorted(points, key=lambda p: tuple(p.x.real))))
     log.debug(
         "singular_points: %d candidates, %d closed-form, %d lstsq restarts, %d kept",
         counts["candidates"], counts["candidates"] - counts["restarts"],

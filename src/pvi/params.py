@@ -12,8 +12,9 @@ kappa by the reflections sigma_i(k_j) = k_j - k_i * C[i][j], so the composite
 kappa -> a -> theta is the Riemann-Hilbert correspondence in the parameter
 level.  kappa lies on a reflecting hyperplane (a wall) exactly when one of
 the twelve positive-root values of D4 at kappa is an integer, and exactly
-then the cubic surface is singular: reducible_points gives its singular
-points in closed form, and on_wall and classify_stratum both read it.
+then the cubic surface is singular: reducible_points gives one singular
+point per component of the integral root subsystem, typed by that
+component, and on_wall and classify_stratum both read it.
 """
 
 from __future__ import annotations
@@ -147,17 +148,18 @@ def weyl_apply(word, kappa):
 
 
 def reducible_points(kappa):
-    """The distinct singular points of S(rh_param(kappa)), in closed form.
+    """The singular points of S(rh_param(kappa)) in closed form, typed, by Re x.
 
-    They are the traces of reducible representations and of those with a
-    scalar local monodromy (Iwasaki 2002; Inaba-Iwasaki-Saito 2004): signs
-    e in {+1, -1}^3 with (e . (k1, k2, k3) + k4 + 1) / 2 an integer give
-    x_i = 2 cos(pi (e_j k_j + e_k k_k)) for {i, j, k} = {1, 2, 3}, and an
-    integer k_i gives (a_i / 2) (a4, a3, a2), (a3, a4, a1), (a2, a1, a4) or
-    (a1, a2, a3) for i = 1..4.  These twelve conditions, each tested within
-    _affine_tol on k1..k4 alone, say that a positive-root value of D4 is an
-    integer.  Points within 1e-9 relative of an earlier one are dropped.
-    ValueError when the traces overflow, as in kappa_to_a.
+    Each component of the integral roots {alpha : alpha(kappa) in Z} of D4
+    is one point of the component's type (Iwasaki 2002; Inaba-Iwasaki-Saito
+    2004).  Over (k1..k4) the positive roots are (e, 1)/2, e in {+1, -1}^3,
+    of value (e . (k1, k2, k3) + k4 + 1) / 2, and e_i, of value k_i, each
+    tested within _affine_tol; roots with a nonzero inner product are linked.
+    A component's first root gives its point: (e, 1)/2 the traces
+    x_i = 2 cos(pi (e_j k_j + e_k k_k)), {i, j, k} = {1, 2, 3}, and e_i
+    (a_i / 2) (a4, a3, a2), (a3, a4, a1), (a2, a1, a4) or (a1, a2, a3).
+    Sizes 1, 3, 6, 12 are A1, A2, A3, D4; any other raises
+    UnclassifiableError.  Overflowing traces raise ValueError, as in kappa_to_a.
     """
     k = _kappa_array(kappa)
     a = kappa_to_a(k).tolist()
@@ -167,19 +169,27 @@ def reducible_points(kappa):
     def integer(v):
         return abs(v - round(v.real)) <= tol
 
-    points = []
+    roots, points = [], []  # the integral roots, and the point each gives
     for signs in itertools.product((1, -1), repeat=3):
         u1, u2, u3 = (e * ki for e, ki in zip(signs, legs))
         if integer((u1 + u2 + u3 + k4 + 1) / 2):
+            roots.append(np.array([*signs, 1]) / 2)
             points.append([2 * cmath.cos(cmath.pi * u) for u in (u2 + u3, u3 + u1, u1 + u2)])
     for i, perm in enumerate(((3, 2, 1), (2, 3, 0), (1, 0, 3), (0, 1, 2))):
         if integer(free[i]):
+            roots.append(np.eye(4)[i])
             points.append([a[i] / 2 * a[j] for j in perm])
-    distinct = []
-    for x in map(np.array, points):
-        if all(np.max(np.abs(x - y)) > 1e-9 * max(1.0, np.max(np.abs(y))) for y in distinct):
-            distinct.append(x)
-    return distinct
+    typed, left = [], list(range(len(roots)))
+    while left:
+        linked = [left.pop(0)]
+        for i in linked:  # grows as the roots linked to it join
+            linked += [j for j in left if roots[i] @ roots[j]]
+            left = [j for j in left if j not in linked]
+        kind = {1: "A1", 3: "A2", 6: "A3", 12: "D4"}.get(len(linked))
+        if kind is None:
+            raise UnclassifiableError(f"no ADE type has {len(linked)} positive roots")
+        typed.append(cubic.SingularPoint(np.array(points[linked[0]]), kind, *cubic.ADE[kind]))
+    return sorted(typed, key=lambda p: tuple(p.x.real))
 
 
 def on_wall(kappa):
@@ -202,13 +212,9 @@ class StratumLabel:
 
 
 def classify_stratum(kappa):
-    """The StratumLabel of kappa from its reducible_points, with no Weyl-group witness.
-
-    rh_param(kappa) must pass cubic.checked_theta, and cubic.typed_report
-    merges and types the points, as for cubic.singular_points.
-    """
+    """The StratumLabel of reducible_points(kappa), whose rh_param must pass checked_theta."""
     theta = cubic.checked_theta(rh_param(kappa))
-    return label_stratum(cubic.typed_report(theta, reducible_points(kappa)))
+    return label_stratum(cubic.SingularPointReport(theta, tuple(reducible_points(kappa))))
 
 
 def label_stratum(report):

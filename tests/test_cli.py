@@ -292,6 +292,10 @@ def test_rh_right_hand_side_evaluations_stay_bounded(tmp_path, monkeypatch):
                   f'"n": {modular.MAX_ORBIT_STEPS + 1}}}'),
         # f at x1 = 1e200 overflows to inf on the way to the escape
         ("orbit", '{"point": {"x": [1e200, 2, 3], "theta": [0, 0, 0, 0]}, "word": "1 1", "n": 3}'),
+        # with no step to escape, an overflowing f or |f| is refused before any row is written
+        ("orbit", '{"point": {"x": [1e200, 2, 3], "theta": [0, 0, 0, 0]}, "word": "1 1", "n": 0}'),
+        ("orbit", '{"point": {"x": [1.15e154, [8.1317279836e153, 8.1317279836e153], 0], '
+                  '"theta": [0, 0, 0, 0]}, "word": "1 1", "n": 0}'),
         ("rh", RH_INPUT.replace('"p": [0.2,-0.5]', '"p": 1e160')),
         ("rh", RH_INPUT.replace('"q": [0.4,0.3]', '"q": 1e200')),
         ("rh", RH_INPUT.replace('"t": [0,1,2]', '"t": [0,1,1e300]')),
@@ -316,6 +320,7 @@ def test_rh_right_hand_side_evaluations_stay_bounded(tmp_path, monkeypatch):
         "classify-no-key", "flow-list-point", "flow-scalar-path", "monodromy-scalar-braid",
         "monodromy-string-point", "backlund-scalar-word", "backlund-nested-word",
         "orbit-list-point", "orbit-scalar-word", "orbit-list-n", "orbit-n-above-bound", "orbit-x1-1e200",
+        "orbit-n0-x1-1e200", "orbit-n0-abs-f-1.9e308",
         "rh-p-1e160", "rh-q-1e200", "rh-t3-1e300", "flow-p-1e300", "monodromy-p-1e300",
         "backlund-kappa-imag-300", "classify-kappa-imag-1e300",
         "flow-t3-1e300", "flow-t3-to-1e100", "flow-t3-1e100-residual",

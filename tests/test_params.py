@@ -213,7 +213,25 @@ def test_reducible_points_are_singular_points_of_the_surface(k, root):
     theta = params.rh_param(kappa)
     points = params.reducible_points(kappa)
     assert points
-    for x in points:
+    for x in (p.x for p in points):
         scale = max(1.0, np.max(np.abs(theta)), np.max(np.abs(x)) ** 2)
         assert abs(cubic.eval_f(x, theta)) <= 1e-12 * scale
         assert np.max(np.abs(cubic.grad_f(x, theta))) <= 1e-12 * scale
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(k=FREE, walls=st.lists(st.sampled_from(ROOTS), min_size=1, max_size=6, unique=True), word=WORD)
+def test_kappa_on_several_walls_has_a_weyl_invariant_label_of_the_integral_rank(k, walls, word):
+    """Built on 1 to 6 walls in turn (a later move may take kappa off an
+    earlier wall): the label is the same on a Weyl image, and index_set_size
+    is the rank of the integral root vectors."""
+    for root in walls:
+        kappa = _on_a_wall(k, root)
+    distances = [abs(v - round(v)) for v in _root_values(k)]
+    assume(all(d <= 1e-12 or d > 1e-6 for d in distances))
+    integral = [root for root, d in zip(ROOTS, distances) if d <= 1e-12]
+    label = params.classify_stratum(kappa)
+    image = params.classify_stratum(params.weyl_apply(word, kappa))
+    assert label.dynkin_type != "smooth"
+    assert (image.dynkin_type, image.index_set_size) == (label.dynkin_type, label.index_set_size)
+    assert label.index_set_size == np.linalg.matrix_rank(np.array(integral))

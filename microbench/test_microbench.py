@@ -6,7 +6,8 @@
 `perfbench/` times whole `pvi` commands; these time one primitive each:
 a modular letter, the Fricke cubic, a 150-step orbit (the length of the
 benchmark's orbits), a singular-point solve, the closed-form stratum of a
-kappa, one transport leg and one braid return map.  Each checks its result, so a smoke run also catches
+kappa, Runge-Kutta steps, one straight transport leg, one loop's circle and
+one braid return map.  Each checks its result, so a smoke run also catches
 a primitive that stopped working.  The directory is outside the
 `testpaths` of pyproject.toml: a plain `pytest` does not run it.
 """
@@ -14,8 +15,7 @@ a primitive that stopped working.  The directory is outside the
 import numpy as np
 import pytest
 
-from pvi import cubic, flow, fuchsian, modular, params
-
+from pvi import cubic, flow, fuchsian, modular, params, rk
 
 
 def _su2(a, b, c, d):
@@ -68,16 +68,55 @@ def test_classify_stratum_kappa(benchmark, kappa, label):
     assert stratum.dynkin_type == label
 
 
+def test_rk_steps(benchmark):
+    """y' = i y on four components, the size of the companion system: one
+    call of 68 accepted and 2 rejected steps, so one step costs 1/70 of it."""
+    accepted = []
+
+    def run():
+        accepted.clear()
+        return rk.adaptive_rk(lambda s, y: 1j * y, np.ones(4, dtype=complex), 0.0, 1.0,
+                              on_accept=lambda s, y, h, err: accepted.append(h))
+
+    y = benchmark(run)
+    benchmark.extra_info["attempted_steps"] = 70
+    assert len(accepted) == 68
+    assert np.max(np.abs(y - np.exp(1j))) <= 1e-12
+
+
+def _circle(eq, pole_index):
+    """The circle of the loop around one pole from the automatic basepoint,
+    as the leg s -> (z, dz/ds) that fuchsian._loop_transport integrates."""
+    c = eq.poles[pole_index]
+    r = 0.3 * min(abs(c - other) for i, other in enumerate(eq.poles) if i != pole_index)
+    phi0 = np.angle(fuchsian._auto_basepoint(eq.poles) - c)
+
+    def leg(s):
+        z = complex(c + r * np.exp(1j * (phi0 + 2 * np.pi * s)))
+        return z, 2j * np.pi * (z - c)
+
+    return leg
+
+
 def test_transport_one_leg(benchmark):
     """The tail from the basepoint to the circle around t = 0."""
     eq = fuchsian.build_equation(PHASE_POINT)
-    tail = fuchsian.loop_around(eq, 0, fuchsian._auto_basepoint(eq.poles))[:2]
+    tail = [fuchsian._auto_basepoint(eq.poles), _circle(eq, 0)(0.0)[0]]
     T = benchmark.pedantic(fuchsian.transport, args=(eq, tail), **SLOW)
     # Liouville: the companion matrix has trace v1 = sum_c r_c / (z - c), so
     # det T = exp(sum_c r_c log((z1 - c) / (z0 - c))) on a straight leg
     z0, z1 = tail
     det = np.exp(sum(r * np.log((z1 - c) / (z0 - c)) for c, r in zip(eq.poles, eq.v1_residues)))
     assert abs(np.linalg.det(T) - det) <= 1e-8 * abs(det)
+
+
+def test_transport_circle(benchmark):
+    """The circle around t = 0, one exact leg."""
+    eq = fuchsian.build_equation(PHASE_POINT)
+    C = benchmark.pedantic(fuchsian._transport_leg,
+                           args=(eq, np.eye(2, dtype=complex), _circle(eq, 0)), **SLOW)
+    # Liouville: det C = exp of the contour integral of v1, whose residue at t1 is kappa_1 - 1
+    assert abs(np.linalg.det(C) - np.exp(2j * np.pi * PHASE_POINT.kappa.k1)) <= 1e-10
 
 
 def test_braid_return_map(benchmark):

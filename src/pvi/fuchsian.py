@@ -14,6 +14,7 @@ data a and the surface coordinates x, landing on the Fricke cubic.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass
 
@@ -23,13 +24,10 @@ from . import cubic, params
 from .rk import adaptive_rk
 
 
-# Cap on the attempted steps of one transport leg.  The longest legs of the
-# test suite and of the benchmark's rh inputs take 659 and 544 steps, so a
-# leg that reaches the cap has stalled; it fails after about a second.
+# Cap on the attempted steps of one leg, a tail or a whole circle.  The longest
+# legs of the test suite and of the benchmark's rh inputs take 724 and 571
+# steps, so a leg that reaches the cap has stalled; it fails in about a second.
 _LEG_MAX_STEPS = 15_000
-
-# Chords of the polyline circle of a loop around one pole.
-_LOOP_CHORDS = 24
 
 
 class PoleClearanceError(ValueError):
@@ -165,10 +163,7 @@ def transport(eq, path):
 
     Returns T with (f, f')(end) = T (f, f')(start).  A path that comes
     closer to a pole than 0.05 times the minimal pole gap raises
-    PoleClearanceError.  Each leg's first step is at most 0.25 times the
-    distance from its start to the nearest pole; the error estimate sets
-    every later step.  A leg that needs more than _LEG_MAX_STEPS steps
-    raises StepUnderflowError.
+    PoleClearanceError.  Each segment is one leg of _transport_leg.
     """
     path = np.asarray(path, dtype=complex)
     if path.ndim != 1 or len(path) < 1:
@@ -177,37 +172,43 @@ def transport(eq, path):
     for z0, z1 in zip(path[:-1], path[1:]):
         for c in eq.poles:
             if _segment_pole_distance(z0, z1, c) < clearance:
-                raise PoleClearanceError(
-                    f"pole clearance violated near {c:.6g}"
-                )
+                raise PoleClearanceError(f"pole clearance violated near {c:.6g}")
 
-    poles = eq.poles.tolist()
-    residues = list(zip(poles, eq.v1_residues.tolist(), eq.v2_residues.tolist()))
     T = np.eye(2, dtype=complex)
     for z0, z1 in zip(path[:-1].tolist(), path[1:].tolist()):
         seg = z1 - z0
-        if seg == 0.0:
-            continue
-
-        def rhs(s, y, z0=z0, seg=seg):
-            # companion system on the flattened fundamental matrix
-            # y = (f_1, f_2, f_1', f_2'), with v1 = a and v2 = b at z
-            z = z0 + s * seg
-            a = b = 0.0
-            for c, r1, r2 in residues:
-                w = 1.0 / (z - c)
-                a += r1 * w
-                b += r2 * w
-            f1, f2, g1, g2 = y.tolist()
-            return np.array(
-                [seg * g1, seg * g2, seg * (a * g1 - b * f1), seg * (a * g2 - b * f2)]
-            )
-
-        first_step = max(1e-12, 0.25 / abs(seg) * min(abs(z0 - c) for c in poles))
-        y = adaptive_rk(rhs, T.reshape(4), 0.0, 1.0, first_step=first_step,
-                        max_steps=_LEG_MAX_STEPS)
-        T = y.reshape(2, 2)
+        if seg != 0.0:
+            T = _transport_leg(eq, T, lambda s, z0=z0, seg=seg: (z0 + s * seg, seg))
     return T
+
+
+def _transport_leg(eq, T, leg):
+    """T carried along one leg, where leg(s) = (z(s), dz/ds) for 0 <= s <= 1.
+
+    The first step is at most 0.25 |z(0) - c| / |dz/ds(0)| for the nearest
+    pole c; the error estimate sets every later step.  A leg that needs
+    more than _LEG_MAX_STEPS steps raises StepUnderflowError.
+    """
+    poles = eq.poles.tolist()
+    residues = list(zip(poles, eq.v1_residues.tolist(), eq.v2_residues.tolist()))
+
+    def rhs(s, y):
+        # companion system on the flattened fundamental matrix
+        # y = (f_1, f_2, f_1', f_2'), with v1 = a and v2 = b at z
+        z, dz = leg(s)
+        a = b = 0.0
+        for c, r1, r2 in residues:
+            w = 1.0 / (z - c)
+            a += r1 * w
+            b += r2 * w
+        f1, f2, g1, g2 = y.tolist()
+        return np.array([dz * g1, dz * g2, dz * (a * g1 - b * f1), dz * (a * g2 - b * f2)])
+
+    z0, dz0 = leg(0.0)
+    first_step = max(1e-12, 0.25 / abs(dz0) * min(abs(z0 - c) for c in poles))
+    y = adaptive_rk(rhs, T.reshape(4), 0.0, 1.0, first_step=first_step,
+                    max_steps=_LEG_MAX_STEPS)
+    return y.reshape(2, 2)
 
 
 def _auto_basepoint(poles):
@@ -231,26 +232,6 @@ def _auto_basepoint(poles):
         ):
             return bp
     raise PoleClearanceError("no pole-free basepoint found")
-
-
-def loop_around(eq, pole_index, basepoint):
-    """Anticlockwise polyline loop around one pole, tailed to the basepoint.
-
-    The circle radius is 0.3 times the distance to the nearest other pole,
-    so the loop encloses exactly its own pole; the tail runs straight from
-    the basepoint to the circle.
-    """
-    poles = eq.poles
-    center = poles[pole_index]
-    others = [c for i, c in enumerate(poles) if i != pole_index]
-    radius = 0.3 * min(abs(center - c) for c in others)
-    phi0 = np.angle(basepoint - center)
-    entry = center + radius * np.exp(1j * phi0)
-    circle = [
-        center + radius * np.exp(1j * (phi0 + 2.0 * np.pi * m / _LOOP_CHORDS))
-        for m in range(_LOOP_CHORDS + 1)
-    ]
-    return np.array([basepoint, entry] + circle[1:] + [basepoint])
 
 
 @dataclass(frozen=True)
@@ -284,16 +265,26 @@ class MonodromyRep:
 
 
 def _loop_transport(eq, pole_index, basepoint):
-    """Transfer matrix along loop_around(eq, pole_index, basepoint).
+    """Transfer matrix of the anticlockwise loop around the pole c.
 
-    The loop runs out along its tail, around the circle and back along the
-    same tail reversed, whose transfer matrix is exactly the inverse of the
-    way out; so the tail is integrated once and T = T_tail^-1 C T_tail.
+    The loop runs out along a straight tail from the basepoint, once around
+    the circle z(s) = c + r e^{i(phi0 + 2 pi s)}, one leg with dz/ds =
+    2 pi i (z - c), and back along the tail reversed, which inverts the way
+    out: T = T_tail^-1 C T_tail.  r is 0.3 times the distance from c to the
+    nearest other pole, so the loop encloses exactly its own pole.
     """
-    path = loop_around(eq, pole_index, basepoint)
-    tail = transport(eq, path[:2])
-    circle = transport(eq, path[1:-1])
-    return np.linalg.solve(tail, circle @ tail)
+    poles = eq.poles.tolist()
+    c = poles[pole_index]
+    r = 0.3 * min(abs(c - other) for i, other in enumerate(poles) if i != pole_index)
+    phi0 = cmath.phase(basepoint - c)
+
+    def circle(s):
+        z = c + cmath.rect(r, phi0 + 2.0 * cmath.pi * s)
+        return z, 2j * cmath.pi * (z - c)
+
+    tail = transport(eq, [basepoint, circle(0.0)[0]])
+    C = _transport_leg(eq, np.eye(2, dtype=complex), circle)
+    return np.linalg.solve(tail, C @ tail)
 
 
 def monodromy(pt, basepoint=None):

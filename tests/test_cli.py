@@ -20,8 +20,8 @@ RH_INPUT = (
     '"kappa_free": [0.21,0.33,0.17,0.11]}'
 )
 # RHS evaluations of `pvi rh` on RH_INPUT, as measured when the count-based
-# bound below was last set: three loops of 25 legs (tail once, 24 chords).
-RH_RHS_EVALS = 13077
+# bound below was last set: three loops of 2 legs (the tail once, one circle).
+RH_RHS_EVALS = 11148
 MONODROMY_INPUT = (
     '{"point": {"q": [0.4,0.3], "p": [0.2,-0.5], "t": [0,1,2], '
     '"kappa_free": [0.21,0.33,0.17,0.11]}, "braid": "1 1"}'

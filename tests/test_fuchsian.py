@@ -35,6 +35,21 @@ def _gauss_vector(z):
     return np.array([f, fp], dtype=complex)
 
 
+def _circle(eq, pole_index, basepoint):
+    """The circle of the loop around one pole, built here as the leg
+    s -> (z, dz/ds): radius 0.3 times the distance to the nearest other
+    pole, anticlockwise from the point facing the basepoint."""
+    c = eq.poles[pole_index]
+    r = 0.3 * min(abs(c - other) for i, other in enumerate(eq.poles) if i != pole_index)
+    phi0 = np.angle(basepoint - c)
+
+    def leg(s):
+        z = complex(c + r * np.exp(1j * (phi0 + 2 * np.pi * s)))
+        return z, 2j * np.pi * (z - c)
+
+    return leg
+
+
 def _generic_phase_point():
     k = params.Exponents.from_free(0.21, 0.33, 0.17, 0.11)
     return fuchsian.PhasePoint.make(0.4 + 0.3j, 0.2 - 0.5j, (0.0, 1.0, 2.0), k)
@@ -64,9 +79,7 @@ def test_transport_hypergeometric_between_ordinary_points():
 
 def test_hypergeometric_loop_eigenvalues():
     """Monodromy at z = 0 has eigenvalues {1, exp(-2 pi i c)}."""
-    eq = _gauss_equation()
-    loop = fuchsian.loop_around(eq, 0, basepoint=0.5 + 0j)
-    T = fuchsian.transport(eq, loop)
+    T = fuchsian._loop_transport(_gauss_equation(), 0, 0.5 + 0j)
     got = sorted(np.linalg.eigvals(T), key=lambda u: u.real)
     want = sorted([1.0, np.exp(-2j * np.pi * GAUSS_C)], key=lambda u: u.real)
     assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-8
@@ -217,8 +230,7 @@ class TestMonodromy:
     def test_raw_loop_eigenvalues(self):
         """Before normalization the loop at t1 has eigenvalues {1, e^{2 pi i k1}}."""
         eq = fuchsian.build_equation(self.pt)
-        loop = fuchsian.loop_around(eq, 0, fuchsian._auto_basepoint(eq.poles))
-        T = fuchsian.transport(eq, loop)
+        T = fuchsian._loop_transport(eq, 0, fuchsian._auto_basepoint(eq.poles))
         got = sorted(np.linalg.eigvals(T), key=lambda u: (u.real, u.imag))
         want = sorted(
             [1.0, np.exp(2j * np.pi * self.pt.kappa.k1)], key=lambda u: (u.real, u.imag)
@@ -275,12 +287,12 @@ def test_corrupted_residue_breaks_apparency():
     bad = fuchsian.FuchsianEquation(
         eq.poles, eq.v1_residues, eq.v2_residues + np.array([0.1, 0, 0, 0])
     )
-    loop = fuchsian.loop_around(bad, 3, fuchsian._auto_basepoint(bad.poles))
-    T = fuchsian.transport(bad, loop)
+    T = fuchsian._loop_transport(bad, 3, fuchsian._auto_basepoint(bad.poles))
     assert np.linalg.norm(T - np.eye(2)) > 1e-3
 
 
-@pytest.mark.parametrize(
+# (equation, basepoint or None for the automatic one, poles to loop around)
+LOOPS = pytest.mark.parametrize(
     "eq, basepoint, pole_indices",
     [
         (fuchsian.build_equation(_generic_phase_point()), None, range(4)),
@@ -288,14 +300,35 @@ def test_corrupted_residue_breaks_apparency():
     ],
     ids=["generic", "gauss"],
 )
+
+
+@LOOPS
 def test_loop_transport_inverts_the_tail(eq, basepoint, pole_indices):
-    """Tail integrated once and inverted equals the whole polyline loop."""
+    """Tail integrated once and inverted equals the whole loop: out along
+    the tail, around the circle, and back along the tail integrated anew."""
     if basepoint is None:
         basepoint = fuchsian._auto_basepoint(eq.poles)
     for i in pole_indices:
-        full = fuchsian.transport(eq, fuchsian.loop_around(eq, i, basepoint=basepoint))
+        circle = _circle(eq, i, basepoint)
+        entry = circle(0.0)[0]
+        C = fuchsian._transport_leg(eq, np.eye(2, dtype=complex), circle)
+        full = fuchsian.transport(eq, [entry, basepoint]) @ C @ fuchsian.transport(
+            eq, [basepoint, entry])
         once = fuchsian._loop_transport(eq, i, basepoint)
         assert np.max(np.abs(once - full)) < 1e-10
+
+
+@LOOPS
+def test_circle_leg_matches_a_fine_polyline_circle(eq, basepoint, pole_indices):
+    """The exact circle against an independent path: transport along 96
+    chords of the same circle, which winds once around the same pole."""
+    if basepoint is None:
+        basepoint = fuchsian._auto_basepoint(eq.poles)
+    for i in pole_indices:
+        circle = _circle(eq, i, basepoint)
+        C = fuchsian._transport_leg(eq, np.eye(2, dtype=complex), circle)
+        polyline = [circle(m / 96)[0] for m in range(96)] + [circle(0.0)[0]]
+        assert np.max(np.abs(C - fuchsian.transport(eq, polyline))) < 1e-10
 
 
 def _golden_rh_point():
@@ -308,9 +341,8 @@ class TestTransportSteps:
     def test_step_sequence_is_unchanged(self, monkeypatch):
         """Accepted steps and RHS evaluations of monodromy; apparent_check adds none.
 
-        The counts were recorded while transport clamped every attempted
-        step to 0.25 times the distance to the nearest pole; the first step
-        of each leg now carries that clamp alone, and the counts stay.
+        Recorded with each loop's circle integrated as one exact leg; with
+        24-chord polyline circles the counts were 2229 and 13935.
         """
         counts = [0, 0]
         original = fuchsian.adaptive_rk
@@ -328,37 +360,36 @@ class TestTransportSteps:
         monkeypatch.setattr(fuchsian, "adaptive_rk", counting_rk)
         pt = _golden_rh_point()
         fuchsian.monodromy(pt)
-        assert counts == [2229, 13935]
+        assert counts == [2004, 12132]
         fuchsian.apparent_check(pt)
-        assert counts == [2229, 13935]
+        assert counts == [2004, 12132]
 
     def test_later_steps_stay_inside_the_old_pole_clamp(self, monkeypatch):
         """After a leg's first step, every accepted step is at most half of
-        0.25 |z - c| / |seg| at its start, the clamp transport no longer applies."""
+        0.25 |z - c| / |dz/ds| at its start, the clamp transport no longer applies."""
         pending, legs = [], []
-        original_transport, original_rk = fuchsian.transport, fuchsian.adaptive_rk
+        original_leg, original_rk = fuchsian._transport_leg, fuchsian.adaptive_rk
 
-        def recording_transport(eq, path):
-            for z0, z1 in zip(path[:-1], path[1:]):
-                if z1 != z0:
-                    pending.append((eq.poles, complex(z0), complex(z1 - z0), []))
-            return original_transport(eq, path)
+        def recording_leg(eq, T, leg):
+            pending.append((eq.poles.tolist(), leg, []))
+            return original_leg(eq, T, leg)
 
         def recording_rk(f, *args, **kwargs):
             leg = pending.pop(0)
             legs.append(leg)
             return original_rk(f, *args, **kwargs,
-                               on_accept=lambda s, y, h, err: leg[3].append((s - h, abs(h))))
+                               on_accept=lambda s, y, h, err: leg[2].append((s - h, abs(h))))
 
-        monkeypatch.setattr(fuchsian, "transport", recording_transport)
+        monkeypatch.setattr(fuchsian, "_transport_leg", recording_leg)
         monkeypatch.setattr(fuchsian, "adaptive_rk", recording_rk)
         pt = _golden_rh_point()
         fuchsian.monodromy(pt)
         fuchsian.apparent_check(pt)
-        assert len(legs) == 75 and not pending
-        margin = min(
-            max(1e-12, 0.25 / abs(seg) * min(abs(z0 + s * seg - c) for c in poles)) / h
-            for poles, z0, seg, steps in legs
-            for s, h in steps[1:]
-        )
+        assert len(legs) == 6 and not pending
+
+        def clamp(poles, leg, s):
+            z, dz = leg(s)
+            return max(1e-12, 0.25 / abs(dz) * min(abs(z - c) for c in poles))
+
+        margin = min(clamp(poles, leg, s) / h for poles, leg, steps in legs for s, h in steps[1:])
         assert margin >= 2.0

@@ -1,5 +1,7 @@
 """Tests for the adaptive Runge-Kutta core against closed-form solutions."""
 
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -114,3 +116,40 @@ def test_tolerances_are_the_module_constants(monkeypatch):
     monkeypatch.setattr(rk, "_RTOL", 1e-6)
     monkeypatch.setattr(rk, "_ATOL", 1e-8)
     assert accepted_steps() < tight / 5
+
+
+def test_logs_one_debug_line_per_call(caplog):
+    """Accepted and rejected steps, RHS evaluations and the smallest accepted
+    step, as counted here from f and on_accept; a stalled call logs too."""
+    caplog.set_level(logging.DEBUG, logger="pvi.rk")
+    evals, steps = [0], []
+
+    def f(s, y):
+        evals[0] += 1
+        return 1j * y
+
+    # the first attempt, a tenth of the span, is too long for the tolerances
+    rk.adaptive_rk(f, np.array([1.0 + 0j, 2.0 + 0j]), 0.0, 10.0,
+                   on_accept=lambda s, y, h, err: steps.append(abs(h)))
+    rejected = (evals[0] - 1) // 6 - len(steps)
+    assert rejected >= 1
+    (record,) = caplog.records
+    assert (record.name, record.levelno) == ("pvi.rk", logging.DEBUG)
+    assert record.getMessage() == (
+        f"adaptive_rk: {len(steps)} accepted, {rejected} rejected, "
+        f"{evals[0]} RHS evaluations, smallest step {min(steps):.3e}"
+    )
+    caplog.clear()
+    evals[0] = 0
+    with pytest.raises(rk.StepUnderflowError, match="exceeded"):
+        rk.adaptive_rk(f, np.array([1.0 + 0j]), 0.0, 100.0, max_steps=3)
+    (record,) = caplog.records
+    accepted, rejected = record.args[:2]
+    assert accepted + rejected == 3 and evals[0] == 19
+    assert f", {evals[0]} RHS evaluations, " in record.getMessage()
+
+
+def test_logs_nothing_below_debug(caplog):
+    caplog.set_level(logging.INFO, logger="pvi.rk")
+    rk.adaptive_rk(lambda s, y: -y, np.array([1.0 + 0j]), 0.0, 1.0)
+    assert caplog.records == []
